@@ -25,11 +25,9 @@
 //!   branch, and the optimizer deletes them.
 //! * **Conflict detector** — [`WriteLog`] is a shadow last-writer map
 //!   `cell → (round, owner, mode)` fed by every scratch-state mutation the
-//!   apply phase performs, and [`PlanLog`] its concurrent sibling for the
-//!   (possibly multi-threaded) plan phase. Two owners touching the same
-//!   cell in the same round fail fast — a hand-rolled dynamic race
-//!   detector for the "planned actions are disjoint" claim, usable where
-//!   `loom`-style model checkers are unavailable. Writes that the
+//!   apply phase performs. Two owners touching the same cell in the same
+//!   round fail fast — a dynamic conflict detector for the "planned
+//!   actions are disjoint" claim. Writes that the
 //!   [`Algebra`](crate::Algebra) laws make order-free (sibling rakes
 //!   absorbing into one parent accumulator, child-count decrements) are
 //!   recorded with a commutative [`WriteMode`] and only conflict with
@@ -38,9 +36,9 @@
 //!   are the whole hazard surface.
 //!
 //! Everything here compiles to nothing without the feature: [`WriteLog`]
-//! and [`PlanLog`] become field-less structs with empty inlined methods,
-//! and the validators simply do not exist. Benchmarks assert the feature is
-//! off (see `dtc-bench`) so recorded numbers stay comparable.
+//! becomes a field-less struct with empty inlined methods, and the
+//! validators simply do not exist. Benchmarks assert the feature is off
+//! (see `dtc-bench`) so recorded numbers stay comparable.
 
 use std::fmt;
 
@@ -136,8 +134,6 @@ pub enum Cell {
     /// Life state of `v`: the alive flag plus the death record, round
     /// stamp and trace entry written by a kill.
     Life(u32),
-    /// Plan-phase action slot of live node `v`.
-    Action(u32),
 }
 
 impl fmt::Display for Cell {
@@ -149,7 +145,6 @@ impl fmt::Display for Cell {
             Cell::Fun(v) => write!(f, "fun[n{v}]"),
             Cell::Sib(v) => write!(f, "sib[n{v}]"),
             Cell::Life(v) => write!(f, "life[n{v}]"),
-            Cell::Action(v) => write!(f, "action[n{v}]"),
         }
     }
 }
@@ -181,7 +176,7 @@ impl WriteMode {
 }
 
 /// Two owners touched the same cell in the same round, reported by
-/// [`WriteLog::record`] / [`PlanLog::finish`].
+/// [`WriteLog::record`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConflictError {
     cell: Cell,
@@ -317,89 +312,6 @@ impl WriteLog {
     }
 }
 
-/// Concurrent write-log for the plan phase: one entry per action slot,
-/// keyed by the worker thread that wrote it.
-///
-/// The plan phase hands each live node's action slot to exactly one worker
-/// (contiguous chunks under the `parallel` feature); this log records the
-/// actual writer of every slot and [`PlanLog::finish`] reports the first
-/// slot two distinct workers both wrote. Interior mutability (a mutex) so
-/// the recording call works from inside the scoped-thread fan-out.
-///
-/// Without the `check` feature this is a field-less struct whose methods
-/// are empty `#[inline]` bodies.
-#[derive(Debug, Default)]
-pub struct PlanLog {
-    #[cfg(feature = "check")]
-    state: std::sync::Mutex<PlanState>,
-}
-
-#[cfg(feature = "check")]
-#[derive(Debug, Default)]
-struct PlanState {
-    slots: std::collections::HashMap<u32, u64>,
-    conflict: Option<ConflictError>,
-}
-
-impl PlanLog {
-    /// Creates an empty log (one per planning round).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records that the *current thread* wrote the action slot of live
-    /// node `_slot`.
-    #[inline]
-    pub fn record(&self, _slot: u32) {
-        #[cfg(feature = "check")]
-        self.record_as(_slot, crate::par::worker_tag());
-    }
-
-    /// Records a slot write by an explicit worker tag.
-    ///
-    /// This is the seam the conflict-detector tests use to simulate two
-    /// workers colliding on one slot without spawning threads.
-    #[cfg(feature = "check")]
-    pub fn record_as(&self, slot: u32, worker: u64) {
-        // A poisoned mutex means a sibling worker already panicked; the
-        // run is failing anyway, so skip recording rather than unwind.
-        let Ok(mut state) = self.state.lock() else {
-            return;
-        };
-        if state.conflict.is_some() {
-            return;
-        }
-        match state.slots.insert(slot, worker) {
-            Some(prev) if prev != worker => {
-                state.conflict = Some(ConflictError {
-                    cell: Cell::Action(slot),
-                    round: 0,
-                    first_owner: prev,
-                    first_mode: WriteMode::Exclusive,
-                    second_owner: worker,
-                    second_mode: WriteMode::Exclusive,
-                });
-            }
-            _ => {}
-        }
-    }
-
-    /// Reports the first conflicting slot write, if any.
-    #[inline]
-    pub fn finish(&self) -> Result<(), ConflictError> {
-        #[cfg(feature = "check")]
-        {
-            let Ok(state) = self.state.lock() else {
-                return Ok(());
-            };
-            if let Some(c) = &state.conflict {
-                return Err(c.clone());
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Escalates a detector result into a fail-fast panic (via `invariant!`).
 ///
 /// In unchecked builds the result is always `Ok`, so the branch is
@@ -509,17 +421,5 @@ mod tests {
         // A later round clears the slate.
         log.begin_round(5);
         assert!(log.record(Cell::Par(8), WriteMode::Exclusive, 2).is_ok());
-    }
-
-    #[cfg(feature = "check")]
-    #[test]
-    fn plan_log_reports_two_workers_on_one_slot() {
-        let log = PlanLog::new();
-        log.record_as(41, 0xAA);
-        log.record_as(42, 0xAA);
-        assert!(log.finish().is_ok());
-        log.record_as(41, 0xBB);
-        let err = log.finish().expect_err("two workers wrote slot 41");
-        assert!(err.to_string().contains("action[n41]"));
     }
 }

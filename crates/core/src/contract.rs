@@ -327,23 +327,7 @@ where
 {
     let n = forest.len();
     let mut scratch: Scratch<A> = Scratch::default();
-    scratch.ensure(n);
-
-    for v in 0..n as u32 {
-        let p = forest.parent_raw(v);
-        scratch.par[v as usize] = p;
-        if p != NONE {
-            // Children appear in id order, so the running count is exactly
-            // the node's position in the parent's (derived) child list.
-            scratch.sib[v as usize] = scratch.count[p as usize];
-            scratch.count[p as usize] += 1;
-        }
-    }
-    for v in 0..n {
-        scratch.acc[v] = Some(alg.init_acc(forest.label(NodeId(v as u32))));
-        scratch.fun[v] = Some(alg.identity());
-        scratch.alive[v] = true;
-    }
+    scratch.seed_full(alg, forest);
 
     let active: Vec<u32> = (0..n as u32).collect();
     let outcome = scratch.contract_with(alg, &active, seed, sink);

@@ -45,6 +45,13 @@ use std::time::Instant;
 /// [`DynForest::try_batch_link`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EditError {
+    /// A cut or link named a node id that is not in the forest.
+    UnknownNode {
+        /// The offending id.
+        node: NodeId,
+        /// Number of nodes in the forest.
+        nodes: usize,
+    },
     /// A link named a child that is not a component root.
     NotARoot {
         /// The offending child.
@@ -68,6 +75,9 @@ pub enum EditError {
 impl fmt::Display for EditError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
+            EditError::UnknownNode { node, nodes } => {
+                write!(f, "edit names {node} but the forest has {nodes} nodes")
+            }
             EditError::NotARoot { node } => write!(f, "{node} is not a root"),
             EditError::AlreadyRoot { node } => write!(f, "{node} is already a root"),
             EditError::WouldCycle { child, parent } => write!(
@@ -386,9 +396,20 @@ impl<A: Propagate> DynForest<A> {
         }
     }
 
-    /// Detaches `v` from its parent (no validation beyond the root check);
-    /// returns the old parent so the cut can be undone.
+    /// Rejects an id outside the forest before any edit touches it.
+    fn known(&self, v: NodeId) -> Result<(), EditError> {
+        let n = self.forest.len();
+        if v.index() < n {
+            Ok(())
+        } else {
+            Err(EditError::UnknownNode { node: v, nodes: n })
+        }
+    }
+
+    /// Detaches `v` from its parent after checking that `v` exists and is
+    /// not a root; returns the old parent so the cut can be undone.
     fn cut_one(&mut self, v: NodeId) -> Result<u32, EditError> {
+        self.known(v)?;
         let p = self.forest.parent_raw(v.raw());
         if p == NONE {
             return Err(EditError::AlreadyRoot { node: v });
@@ -406,9 +427,11 @@ impl<A: Propagate> DynForest<A> {
         Ok(p)
     }
 
-    /// Attaches the root `child` under `parent` after validating both the
-    /// rootness and the cycle condition.
+    /// Attaches the root `child` under `parent` after validating both ids,
+    /// the rootness and the cycle condition.
     fn link_one(&mut self, child: NodeId, parent: NodeId) -> Result<(), EditError> {
+        self.known(child)?;
+        self.known(parent)?;
         if !self.forest.is_root(child) {
             return Err(EditError::NotARoot { node: child });
         }
@@ -435,9 +458,10 @@ impl<A: Propagate> DynForest<A> {
     /// root. The cut subtree's recorded values stay valid; only the old
     /// ancestors are invalidated.
     ///
-    /// Ops apply in order; on the first invalid op ([`EditError::AlreadyRoot`],
-    /// including a node cut twice in the same batch) every already-applied
-    /// cut is undone and the forest shape is exactly as before the call.
+    /// Ops apply in order; on the first invalid op
+    /// ([`EditError::UnknownNode`] or [`EditError::AlreadyRoot`], including
+    /// a node cut twice in the same batch) every already-applied cut is
+    /// undone and the forest shape is exactly as before the call.
     /// Dirty marks made along the way are **not** undone — they are merely
     /// conservative (the next [`DynForest::recompute`] refreshes values
     /// that were already correct), never wrong. Rollback re-attaches via a
@@ -468,7 +492,7 @@ impl<A: Propagate> DynForest<A> {
     /// Cuts each node in `cuts` from its parent, making it a component root.
     ///
     /// # Panics
-    /// Panics if a node is already a root; use
+    /// Panics if a node is unknown or already a root; use
     /// [`DynForest::try_batch_cut`] for the non-panicking (and
     /// rolled-back) form.
     pub fn batch_cut(&mut self, cuts: &[NodeId]) {
@@ -488,10 +512,10 @@ impl<A: Propagate> DynForest<A> {
     ///
     /// Ops apply in order — later links may legally build on earlier ones
     /// (chaining freshly linked components). On the first invalid op
-    /// ([`EditError::NotARoot`] or [`EditError::WouldCycle`]) every
-    /// already-applied link is undone and the forest shape is exactly as
-    /// before the call; dirty marks are not undone (conservative, never
-    /// wrong).
+    /// ([`EditError::UnknownNode`], [`EditError::NotARoot`] or
+    /// [`EditError::WouldCycle`]) every already-applied link is undone and
+    /// the forest shape is exactly as before the call; dirty marks are not
+    /// undone (conservative, never wrong).
     pub fn try_batch_link(&mut self, links: &[(NodeId, NodeId)]) -> Result<(), EditError> {
         let mark_start = self.profile.as_ref().map(|_| Instant::now());
         let mut applied: Vec<NodeId> = Vec::with_capacity(links.len());
@@ -517,9 +541,9 @@ impl<A: Propagate> DynForest<A> {
     /// `child` under `parent`.
     ///
     /// # Panics
-    /// Panics if `child` is not a root, or if `parent` lies inside
-    /// `child`'s own subtree (which would create a cycle); use
-    /// [`DynForest::try_batch_link`] for the non-panicking (and
+    /// Panics if either id is unknown, if `child` is not a root, or if
+    /// `parent` lies inside `child`'s own subtree (which would create a
+    /// cycle); use [`DynForest::try_batch_link`] for the non-panicking (and
     /// rolled-back) form.
     pub fn batch_link(&mut self, links: &[(NodeId, NodeId)]) {
         self.try_batch_link(links)
@@ -552,7 +576,6 @@ impl<A: Propagate> DynForest<A> {
     fn rebuild_replay(&mut self) -> (u32, EngineCounters) {
         let n = self.forest.len();
         self.seed = splitmix64(self.seed);
-        self.scratch.ensure(n);
         let DynForest {
             alg,
             forest,
@@ -563,16 +586,11 @@ impl<A: Propagate> DynForest<A> {
             profile,
             ..
         } = self;
-        for u in 0..n as u32 {
-            let ui = u as usize;
-            scratch.par[ui] = forest.parent_raw(u);
-            scratch.count[ui] = children[ui].len() as u32;
-            scratch.acc[ui] = Some(alg.init_acc(forest.label(NodeId(u))));
-            scratch.fun[ui] = Some(alg.identity());
-            scratch.alive[ui] = true;
-            scratch.death[ui] = Death::None;
-            scratch.death_round[ui] = 0;
-            for (i, &c) in children[ui].iter().enumerate() {
+        scratch.seed_full(alg, forest);
+        // Cuts and links permute child lists away from id order; ordered
+        // algebras absorb children at their actual list position.
+        for kids in children.iter() {
+            for (i, &c) in kids.iter().enumerate() {
                 scratch.sib[c as usize] = i as u32;
             }
         }
@@ -682,7 +700,6 @@ impl<A: Propagate> DynForest<A> {
             }
         }
         self.seed = splitmix64(self.seed);
-        self.scratch.ensure(n);
 
         let DynForest {
             alg,
@@ -723,8 +740,8 @@ impl<A: Propagate> DynForest<A> {
                 }
             }
             scratch.count[ui] = live_children;
-            scratch.acc[ui] = Some(acc);
-            scratch.fun[ui] = Some(alg.identity());
+            scratch.acc[ui] = acc;
+            scratch.fun[ui] = alg.identity();
             scratch.alive[ui] = true;
             scratch.death[ui] = Death::None;
             scratch.death_round[ui] = 0;
@@ -767,20 +784,17 @@ impl<A: Propagate> DynForest<A> {
     /// [`DynForest::recompute`] first.
     ///
     /// Internally this runs a fresh full contraction to obtain a
-    /// consistent trace. Incremental recomputes deliberately re-contract
-    /// only the dirty set, so the merged traces of successive recomputes
-    /// are *not* mutually consistent (a clean node's recorded shortcut
-    /// parent may predate a cut that later re-routed the path above it);
-    /// queries need one coherent trace, and a single `O(n log n)` w.h.p.
-    /// contraction amortized over a batch of thousands of queries is the
-    /// cheapest way to get one. The answers themselves are still
-    /// `O(log n)` each on top of that shared pass.
+    /// consistent trace. A cut/link batch re-contracts only the dirty set,
+    /// which leaves a mixed-generation trace behind: a clean node's
+    /// recorded shortcut parent may predate a cut that later re-routed the
+    /// path above it, and that trace persists until the next label batch
+    /// re-anchors. Queries need one coherent trace, and a single
+    /// `O(n log n)` w.h.p. contraction amortized over a batch of thousands
+    /// of queries is the cheapest way to get one. The answers themselves
+    /// are still `O(log n)` each on top of that shared pass.
     pub fn query_batch(&self, batch: &QueryBatch) -> Result<Vec<QueryOutcome<A>>, QueryError>
     where
-        A: PathAlgebra + Sync,
-        A::Label: Sync,
-        A::Val: Send + Sync,
-        A::PathVal: Send + Sync,
+        A: PathAlgebra,
     {
         if !self.dirty_list.is_empty() {
             return Err(QueryError::PendingEdits {

@@ -8,8 +8,8 @@
 //!
 //! Each round proceeds in two phases:
 //!
-//! 1. **Plan** (read-only, parallelized when the `parallel` feature is on):
-//!    every live node inspects its local neighbourhood and picks one action:
+//! 1. **Plan** (read-only): every live node inspects its local
+//!    neighbourhood and picks one action:
 //!    * `Finish` — it is a childless root; its accumulator is its value.
 //!    * `Rake` — it is a childless non-root; fold its value into the parent.
 //!    * `Splice` — it proposes compressing its *parent* `v`: `v` is unary
@@ -17,8 +17,8 @@
 //!      and `v`'s parent flipped tails this round. The coin condition is a
 //!      randomized independent set on chains: no two adjacent nodes are
 //!      spliced in the same round, so all planned actions commute.
-//! 2. **Apply** (sequential): execute the planned actions. Rake absorbs the
-//!    child's contribution into the parent accumulator; splice composes the
+//! 2. **Apply**: execute the planned actions. Rake absorbs the child's
+//!    contribution into the parent accumulator; splice composes the
 //!    victim's unary function into the surviving edge and reattaches the
 //!    child to its grandparent.
 //!
@@ -35,11 +35,11 @@
 //! bare loop.
 
 use crate::algebra::Algebra;
-use crate::arena::NONE;
+use crate::arena::{Forest, NONE};
 use crate::check::{self, invariant, Cell, WriteMode};
 use crate::obs::{EngineCounters, Phase, RoundCounters, Sink};
 use crate::rng::coin;
-use crate::{par, NodeId};
+use crate::NodeId;
 use std::time::Instant;
 
 /// Hard cap on contraction rounds; with rake + randomized compress the
@@ -47,9 +47,8 @@ use std::time::Instant;
 const MAX_ROUNDS: u32 = 10_000;
 
 /// Per-round action chosen by a live node during the plan phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Action {
-    #[default]
     None,
     /// Childless root: record its component value and retire it.
     Finish,
@@ -57,9 +56,6 @@ enum Action {
     Rake,
     /// Splice out this node's (unary) parent.
     Splice,
-    /// Splice preconditions held but the coin toss failed; behaves like
-    /// `None` and exists only so enabled sinks can count rejections.
-    CoinReject,
 }
 
 /// How a node left the contraction, with everything needed to backsolve its
@@ -100,9 +96,9 @@ pub(crate) struct Scratch<A: Algebra> {
     /// Live child count.
     pub count: Vec<u32>,
     /// Partial accumulator.
-    pub acc: Vec<Option<A::Acc>>,
+    pub acc: Vec<A::Acc>,
     /// Edge function towards the current parent.
-    pub fun: Vec<Option<A::Fun>>,
+    pub fun: Vec<A::Fun>,
     /// Liveness flag.
     pub alive: Vec<bool>,
     /// Death record per node.
@@ -172,27 +168,52 @@ where
 }
 
 impl<A: Algebra> Scratch<A> {
-    /// Grows all per-node tables to cover `n` nodes.
-    pub fn ensure(&mut self, n: usize) {
-        if self.par.len() < n {
-            self.par.resize(n, NONE);
-            self.count.resize(n, 0);
-            self.acc.resize(n, None);
-            self.fun.resize(n, None);
-            self.alive.resize(n, false);
-            self.death.resize_with(n, Death::default);
-            self.death_round.resize(n, 0);
-            self.death_parent.resize(n, NONE);
-            self.sib.resize(n, 0);
-            self.gap.resize(n, 0);
+    /// Seeds every table for a full contraction of `forest`: each node is
+    /// alive with a fresh accumulator of its label, an identity edge
+    /// function, its arena parent and child count, and no death record.
+    /// Sibling slots follow id order, which is the arena's derived child
+    /// order. Reuses the tables' allocations.
+    pub fn seed_full(&mut self, alg: &A, forest: &Forest<A::Label>) {
+        let n = forest.len();
+        self.par.clear();
+        self.par.extend((0..n as u32).map(|v| forest.parent_raw(v)));
+        self.count.clear();
+        self.count.resize(n, 0);
+        self.sib.clear();
+        self.sib.resize(n, 0);
+        for v in 0..n {
+            let p = self.par[v];
+            if p != NONE {
+                // Children appear in id order, so the running count is
+                // exactly the node's position in the parent's child list.
+                self.sib[v] = self.count[p as usize];
+                self.count[p as usize] += 1;
+            }
         }
+        self.acc.clear();
+        self.acc
+            .extend((0..n as u32).map(|v| alg.init_acc(forest.label(NodeId(v)))));
+        self.fun.clear();
+        self.fun.resize(n, alg.identity());
+        self.alive.clear();
+        self.alive.resize(n, true);
+        self.death.clear();
+        self.death.resize_with(n, Death::default);
+        self.death_round.clear();
+        self.death_round.resize(n, 0);
+        self.death_parent.clear();
+        self.death_parent.resize(n, NONE);
+        self.gap.clear();
+        self.gap.resize(n, 0);
     }
 
     /// Runs rake/compress rounds until every active node has died,
     /// reporting phase spans and per-round counters into `sink`.
     ///
-    /// Callers must have seeded `par`, `count`, `acc`, `fun`, `alive` and
-    /// reset `death`/`death_round` for every node in `active` beforehand.
+    /// The tables must cover the whole forest ([`Scratch::seed_full`]).
+    /// Callers re-contracting a subset must re-seed `par`, `count`, `acc`,
+    /// `fun`, `alive` and reset `death`/`death_round` for every node in
+    /// `active` beforehand.
     ///
     /// Telemetry is statically dispatched: every instrumentation site is
     /// guarded by `S::ENABLED`, so with [`crate::obs::NoopSink`] this
@@ -224,27 +245,20 @@ impl<A: Algebra> Scratch<A> {
             let deaths_before = self.death_order.len();
             wlog.begin_round(round);
 
-            // Plan: pure reads of the pre-round state; each slot is owned by
-            // one node, so this parallelizes without synchronization.
+            // Plan: pure reads of the pre-round state, so every action of
+            // the round is decided on the same snapshot.
             let plan_start = if S::ENABLED {
                 Some(Instant::now())
             } else {
                 None
             };
+            let mut coin_rejections = 0u32;
+            let (par, count) = (&self.par, &self.count);
             actions.clear();
-            actions.resize(live.len(), Action::None);
-            {
-                let (par, count, live) = (&self.par, &self.count, &live[..]);
-                // Under `check`, every worker logs which action slots it
-                // actually wrote; two workers on one slot fail the round.
-                let plan_log = check::PlanLog::new();
-                let plan_log = &plan_log;
-                par::for_each_indexed(&mut actions, |i, slot| {
-                    *slot = decide(par, count, seed, round, live[i]);
-                    plan_log.record(live[i]);
-                });
-                check::must(plan_log.finish());
-            }
+            actions.extend(
+                live.iter()
+                    .map(|&u| decide::<S>(par, count, seed, round, u, &mut coin_rejections)),
+            );
             if let Some(t) = plan_start {
                 sink.phase(Phase::Plan, t.elapsed().as_nanos() as u64);
             }
@@ -256,23 +270,15 @@ impl<A: Algebra> Scratch<A> {
             } else {
                 None
             };
-            let (mut rakes, mut splices, mut finishes, mut coin_rejections) =
-                (0u32, 0u32, 0u32, 0u32);
-            for (i, &action) in actions.iter().enumerate() {
-                let u = live[i];
+            let (mut rakes, mut splices, mut finishes) = (0u32, 0u32, 0u32);
+            for (&u, &action) in live.iter().zip(&actions) {
                 match action {
                     Action::None => {}
-                    Action::CoinReject => {
-                        if S::ENABLED {
-                            coin_rejections += 1;
-                        }
-                    }
                     Action::Finish => {
                         if S::ENABLED {
                             finishes += 1;
                         }
-                        // lint:allow(panic): callers seed Some acc for every active node
-                        let val = alg.finish(self.acc[u as usize].as_ref().unwrap());
+                        let val = alg.finish(&self.acc[u as usize]);
                         components.push((NodeId(u), val.clone()));
                         check::must(wlog.record(Cell::Life(u), WriteMode::Exclusive, u as u64));
                         self.kill(u, round, Death::Root(val));
@@ -282,11 +288,8 @@ impl<A: Algebra> Scratch<A> {
                             rakes += 1;
                         }
                         let p = self.par[u as usize] as usize;
-                        // lint:allow(panic): callers seed Some acc for every active node
-                        let val = alg.finish(self.acc[u as usize].as_ref().unwrap());
-                        let contrib =
-                            // lint:allow(panic): callers seed Some fun for every active node
-                            alg.apply(self.fun[u as usize].as_ref().unwrap(), val.clone());
+                        let val = alg.finish(&self.acc[u as usize]);
+                        let contrib = alg.apply(&self.fun[u as usize], val.clone());
                         let slot = self.sib[u as usize];
                         // Sibling rakes hit the same parent cells, but
                         // absorb/decrement commute — recorded as such.
@@ -297,8 +300,7 @@ impl<A: Algebra> Scratch<A> {
                             u as u64,
                         ));
                         check::must(wlog.record(Cell::Life(u), WriteMode::Exclusive, u as u64));
-                        // lint:allow(panic): the parent of an active node is active (upward closure)
-                        alg.absorb_at(self.acc[p].as_mut().unwrap(), slot, contrib);
+                        alg.absorb_at(&mut self.acc[p], slot, contrib);
                         self.count[p] -= 1;
                         self.kill(u, round, Death::Raked(val));
                     }
@@ -312,17 +314,14 @@ impl<A: Algebra> Scratch<A> {
                         }
                         let v = self.par[u as usize];
                         let gp = self.par[v as usize];
-                        // lint:allow(panic): live nodes carry Some acc/fun by seeding
-                        let tf = alg.to_fun(self.acc[v as usize].as_ref().unwrap());
-                        // lint:allow(panic): live nodes carry Some acc/fun by seeding
-                        let g = alg.compose(&tf, self.fun[u as usize].as_ref().unwrap());
-                        // lint:allow(panic): live nodes carry Some acc/fun by seeding
-                        let new_fun = alg.compose(self.fun[v as usize].as_ref().unwrap(), &g);
+                        let tf = alg.to_fun(&self.acc[v as usize]);
+                        let g = alg.compose(&tf, &self.fun[u as usize]);
+                        let new_fun = alg.compose(&self.fun[v as usize], &g);
                         check::must(wlog.record(Cell::Fun(u), WriteMode::Exclusive, u as u64));
                         check::must(wlog.record(Cell::Par(u), WriteMode::Exclusive, u as u64));
                         check::must(wlog.record(Cell::Sib(u), WriteMode::Exclusive, u as u64));
                         check::must(wlog.record(Cell::Life(v), WriteMode::Exclusive, u as u64));
-                        self.fun[u as usize] = Some(new_fun);
+                        self.fun[u as usize] = new_fun;
                         self.par[u as usize] = gp;
                         // The victim remembers which of its own child slots
                         // the surviving chain occupies (change propagation
@@ -381,10 +380,9 @@ impl<A: Algebra> Scratch<A> {
 
     /// Post-round invariant sweep (`check` feature): every node killed this
     /// round carries a coherent, round-stamped death record whose recorded
-    /// parent survived the round, and every survivor has live state — a
-    /// present accumulator and edge function, a live working parent, and a
-    /// `count` that matches its actual number of live children. `O(frontier)`
-    /// per round.
+    /// parent survived the round, and every survivor has a live working
+    /// parent and a `count` that matches its actual number of live
+    /// children. `O(frontier)` per round.
     #[cfg(feature = "check")]
     fn check_round(&self, round: u32, live: &[u32], deaths_before: usize) {
         use std::collections::HashMap;
@@ -413,14 +411,6 @@ impl<A: Algebra> Scratch<A> {
         for &u in live {
             let ui = u as usize;
             invariant!(self.alive[ui], "retained node n{u} is not alive");
-            invariant!(
-                self.acc[ui].is_some(),
-                "live node n{u} lost its accumulator in round {round}"
-            );
-            invariant!(
-                self.fun[ui].is_some(),
-                "live node n{u} lost its edge function in round {round}"
-            );
             let p = self.par[ui];
             if p != NONE {
                 invariant!(
@@ -521,10 +511,17 @@ impl<A: Algebra> Scratch<A> {
 /// victim but flipped tails) nor `u` (its parent `v` would need tails) can
 /// be spliced in the same round.
 ///
-/// A candidate that loses only the coin toss returns `CoinReject` — same
-/// no-op behaviour as `None`, but countable by telemetry sinks.
+/// A candidate that loses only the coin toss returns `None`; with an
+/// enabled sink it also bumps `rejections`.
 #[inline]
-fn decide(par: &[u32], count: &[u32], seed: u64, round: u32, u: u32) -> Action {
+fn decide<S: Sink>(
+    par: &[u32],
+    count: &[u32],
+    seed: u64,
+    round: u32,
+    u: u32,
+    rejections: &mut u32,
+) -> Action {
     let p = par[u as usize];
     if count[u as usize] == 0 {
         return if p == NONE {
@@ -543,6 +540,9 @@ fn decide(par: &[u32], count: &[u32], seed: u64, round: u32, u: u32) -> Action {
     if coin(seed, round, p) && !coin(seed, round, gp) {
         Action::Splice
     } else {
-        Action::CoinReject
+        if S::ENABLED {
+            *rejections += 1;
+        }
+        Action::None
     }
 }

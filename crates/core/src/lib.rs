@@ -34,9 +34,8 @@
 //! [`SubtreeSum`], [`ExprEval`] and [`MinMax`] are also [`PathAlgebra`]s,
 //! so they answer path-aggregate queries.
 //!
-//! Per-round planning and batch query resolution are parallelized with
-//! scoped threads behind the `parallel` feature (dependency-free; see
-//! `par.rs`).
+//! The engine is serial: each round's plan and apply phases run on the
+//! calling thread, and the crate spawns no threads of its own.
 //!
 //! Everything the engine does is observable through the [`obs`] module: a
 //! statically-dispatched [`obs::Sink`] receives phase spans
@@ -96,7 +95,6 @@ mod engine;
 pub mod gen;
 pub mod obs;
 mod ordered;
-mod par;
 mod propagate;
 pub mod query;
 mod rng;

@@ -209,11 +209,7 @@ impl<A: Propagate> Replay<A> {
         scratch.backsolve(alg, &mut vals);
         for u in 0..n {
             if let Death::Raked(val) = &scratch.death[u] {
-                let fun = scratch.fun[u]
-                    .as_ref()
-                    // lint:allow(panic): every raked node carried an edge function at death
-                    .expect("raked node has an edge function");
-                self.contrib[u] = Some(alg.apply(fun, val.clone()));
+                self.contrib[u] = Some(alg.apply(&scratch.fun[u], val.clone()));
             }
         }
 
@@ -332,13 +328,7 @@ impl<A: Propagate> Replay<A> {
                     let mut acc = alg.init_acc(forest.label(NodeId(u)));
                     alg.absorb_part(&mut acc, kids.root(ui));
                     let val = alg.finish(&acc);
-                    let new = alg.apply(
-                        scratch.fun[ui]
-                            .as_ref()
-                            // lint:allow(panic): every raked node carried an edge function at death
-                            .expect("raked node has an edge function"),
-                        val.clone(),
-                    );
+                    let new = alg.apply(&scratch.fun[ui], val.clone());
                     scratch.death[ui] = Death::Raked(val);
                     if contrib[ui].as_ref() != Some(&new) {
                         let old = contrib[ui]
@@ -414,18 +404,10 @@ fn refold_chain<A: Propagate>(
         let mut acc = alg.init_acc(forest.label(NodeId(v)));
         alg.absorb_part(&mut acc, kids.root(vi));
         let g = alg.compose(&alg.to_fun(&acc), &f);
-        let fv = scratch.fun[vi]
-            .as_ref()
-            // lint:allow(panic): every victim carried an edge function at death
-            .expect("victim has an edge function")
-            .clone();
-        scratch.death[vi] = Death::Compressed {
-            child: x,
-            fun: g.clone(),
-        };
-        f = alg.compose(&fv, &g);
+        f = alg.compose(&scratch.fun[vi], &g);
+        scratch.death[vi] = Death::Compressed { child: x, fun: g };
     }
-    scratch.fun[x as usize] = Some(f);
+    scratch.fun[x as usize] = f;
 }
 
 impl<A: Propagate> Clone for Replay<A> {

@@ -34,10 +34,8 @@
 //!
 //! Resolution cost is one `O(n)` context pass per batch plus `O(log² n)`
 //! per query, so a 1k-query batch on a 100k-node path costs ~`n` work
-//! where 1k naive walks would cost ~`n · k`. Queries are dispatched in
-//! ascending death round of their anchor node (queries touching the same
-//! region of the DAG run together), and the dispatch loop fans out over
-//! scoped threads behind the `parallel` feature.
+//! where 1k naive walks would cost ~`n · k`. Queries resolve one after
+//! another, in batch order.
 //!
 //! The API is uniformly non-panicking: per-query failures (unknown node
 //! ids) come back as per-query `Err`s, cross-component path/LCA queries
@@ -61,7 +59,7 @@
 use crate::algebra::{Algebra, PathAlgebra};
 use crate::arena::{Forest, NONE};
 use crate::contract::Contraction;
-use crate::{par, NodeId};
+use crate::NodeId;
 use std::fmt;
 
 /// One query against a contracted forest.
@@ -80,19 +78,6 @@ pub enum Query {
     ComponentRoot(NodeId),
     /// Aggregate of the node's whole component → [`Answer::Value`].
     ComponentValue(NodeId),
-}
-
-impl Query {
-    /// The node whose death round orders this query during dispatch.
-    fn anchor(&self) -> NodeId {
-        match *self {
-            Query::Subtree(v)
-            | Query::Path(v, _)
-            | Query::Lca(v, _)
-            | Query::ComponentRoot(v)
-            | Query::ComponentValue(v) => v,
-        }
-    }
 }
 
 /// A batch of mixed queries, resolved together by
@@ -601,12 +586,6 @@ impl<A: Algebra> Contraction<A> {
     /// Answers come back in query order. Per-query problems (unknown ids)
     /// surface as per-query `Err`s; path/LCA queries across components
     /// answer [`Answer::NotConnected`]. Nothing panics.
-    ///
-    /// Queries are dispatched in ascending death round of their anchor
-    /// node, so queries touching the same region of the trace resolve
-    /// together; with the `parallel` feature the dispatch loop fans out
-    /// over scoped threads in query chunks (hence the `Send + Sync`
-    /// bounds, which every shipped algebra satisfies).
     pub fn query_batch(
         &self,
         forest: &Forest<A::Label>,
@@ -614,10 +593,7 @@ impl<A: Algebra> Contraction<A> {
         batch: &QueryBatch,
     ) -> Result<Vec<QueryOutcome<A>>, QueryError>
     where
-        A: PathAlgebra + Sync,
-        A::Label: Sync,
-        A::Val: Send + Sync,
-        A::PathVal: Send + Sync,
+        A: PathAlgebra,
     {
         let n = self.values().len();
         if forest.len() != n {
@@ -627,32 +603,10 @@ impl<A: Algebra> Contraction<A> {
             });
         }
         let ctx = build_ctx(forest, self, alg);
-        let queries = batch.queries();
-
-        // Dispatch in ascending death round of each query's anchor so
-        // queries entering the trace at the same rounds run adjacently.
-        let mut slots: Vec<(u32, Option<QueryOutcome<A>>)> =
-            (0..queries.len() as u32).map(|i| (i, None)).collect();
-        slots.sort_by_key(|&(i, _)| {
-            let a = queries[i as usize].anchor();
-            if a.index() < n {
-                self.death_round(a)
-            } else {
-                u32::MAX
-            }
-        });
-        par::for_each_indexed(&mut slots, |_, (qi, slot)| {
-            *slot = Some(resolve_one(forest, self, &ctx, alg, &queries[*qi as usize]));
-        });
-
-        let mut out: Vec<Option<QueryOutcome<A>>> = (0..queries.len()).map(|_| None).collect();
-        for (qi, slot) in slots {
-            out[qi as usize] = slot;
-        }
-        Ok(out
-            .into_iter()
-            // lint:allow(panic): the fan-out fills every slot exactly once
-            .map(|o| o.expect("every query resolved"))
+        Ok(batch
+            .queries()
+            .iter()
+            .map(|q| resolve_one(forest, self, &ctx, alg, q))
             .collect())
     }
 }

@@ -5,11 +5,11 @@
 //! tests then call the structural validators explicitly after each
 //! contraction and each `recompute()`, across the standard shape zoo up to
 //! 1e5 nodes. The `smoke_`-prefixed tests are deliberately tiny — CI's
-//! nightly Miri and thread-sanitizer jobs filter on that prefix to keep
-//! interpreter/instrumentation runtimes bounded.
+//! nightly Miri job filters on that prefix to keep interpreter runtimes
+//! bounded.
 #![cfg(feature = "check")]
 
-use dtc_core::check::{self, Cell, PlanLog, WriteLog, WriteMode};
+use dtc_core::check::{self, Cell, WriteLog, WriteMode};
 use dtc_core::gen::{self, XorShift64};
 use dtc_core::{DynForest, Forest, NodeId, QueryBatch, SubtreeSum};
 
@@ -130,8 +130,8 @@ fn query_batch_exercises_euler_nesting_sweep() {
 
 #[test]
 fn smoke_conflict_detector_fires_on_overlapping_writes() {
-    // Two owners, same cell, same round: the seeded overlap every parallel
-    // bug eventually reduces to. Commutative absorbs may share a cell;
+    // Two owners, same cell, same round: the overlap every planning bug
+    // eventually reduces to. Commutative absorbs may share a cell;
     // anything else must be reported.
     let mut log = WriteLog::new();
     log.begin_round(3);
@@ -153,18 +153,4 @@ fn smoke_conflict_detector_fires_on_overlapping_writes() {
     // A new round clears the slate.
     log.begin_round(4);
     assert!(log.record(Cell::Par(7), WriteMode::Exclusive, 2).is_ok());
-}
-
-#[test]
-fn smoke_plan_log_fires_on_two_workers_sharing_a_slot() {
-    let log = PlanLog::new();
-    for slot in 0..16 {
-        log.record_as(slot, 0xA);
-    }
-    assert!(log.finish().is_ok(), "disjoint slots are fine");
-    log.record_as(5, 0xB);
-    let err = log
-        .finish()
-        .expect_err("slot 5 written by two workers must be detected");
-    assert!(err.to_string().contains("action[n5]"), "{err}");
 }

@@ -2,7 +2,7 @@
 //! and dirty-set locality (re-contraction must not touch the whole forest).
 
 use dtc_core::gen::{self, XorShift64};
-use dtc_core::{DynForest, ExprEval, ExprLabel, Forest, NodeId, SubtreeSum};
+use dtc_core::{DynForest, EditError, ExprEval, ExprLabel, Forest, NodeId, SubtreeSum};
 
 fn assert_matches_oracle(d: &DynForest<SubtreeSum>, context: &str) {
     let oracle = d.forest().sequential_fold(&SubtreeSum);
@@ -222,4 +222,45 @@ fn linking_under_own_subtree_panics() {
     let _ = r;
     // `a` is now a root; linking it under its own subtree (itself) must panic.
     d.batch_link(&[(a, a)]);
+}
+
+#[test]
+fn out_of_range_ids_fail_batch_edits_without_changing_the_forest() {
+    let mut d = DynForest::new(gen::random_tree(1_000, 5), SubtreeSum);
+    d.batch_cut(&[NodeId::from_index(7)]);
+    d.recompute();
+    let n = d.len();
+    let ghost = NodeId::from_index(n + 99);
+    let unknown = EditError::UnknownNode {
+        node: ghost,
+        nodes: n,
+    };
+    let shape: Vec<Option<NodeId>> = d
+        .forest()
+        .node_ids()
+        .map(|v| d.forest().parent(v))
+        .collect();
+    let values: Vec<i64> = d.forest().node_ids().map(|v| d.subtree_value(v)).collect();
+
+    // Each batch's first op is valid, so the failure must roll it back.
+    let (cut, root) = (NodeId::from_index(3), NodeId::from_index(7));
+    assert_eq!(d.try_batch_cut(&[cut, ghost]), Err(unknown));
+    assert_eq!(d.try_batch_link(&[(root, cut), (ghost, cut)]), Err(unknown));
+    assert_eq!(
+        d.try_batch_link(&[(root, cut), (root, ghost)]),
+        Err(unknown)
+    );
+    assert!(unknown.to_string().contains(&n.to_string()));
+
+    let after: Vec<Option<NodeId>> = d
+        .forest()
+        .node_ids()
+        .map(|v| d.forest().parent(v))
+        .collect();
+    assert_eq!(after, shape, "failed batches leave the shape as it was");
+    d.recompute();
+    for v in d.forest().node_ids() {
+        assert_eq!(d.subtree_value(v), values[v.index()], "value of {v}");
+    }
+    assert_matches_oracle(&d, "after rejected out-of-range edits");
 }

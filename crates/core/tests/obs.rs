@@ -312,3 +312,42 @@ fn profile_display_renders_report() {
     write!(empty, "{}", Profile::default()).unwrap();
     assert!(empty.contains("0 run(s)"));
 }
+
+/// Pins the engine's contraction decisions: profile totals for every
+/// generator shape at 10k nodes under a fixed seed. A refactor of the
+/// engine must leave them unchanged; any change to how rounds pick rakes,
+/// splices or coin rejections shows up here.
+#[test]
+fn golden_trace_counts_per_shape() {
+    // shape -> (rounds, rakes, splices, finishes, coin rejections)
+    let golden = [
+        (
+            "random",
+            gen::random_tree(10_000, 42),
+            (15, 9450, 549, 1, 1529),
+        ),
+        ("path", gen::path(10_000, 42), (31, 30, 9969, 1, 30114)),
+        ("star", gen::star(10_000, 42), (2, 9999, 0, 1, 0)),
+        (
+            "caterpillar",
+            gen::caterpillar(2_000, 4, 42),
+            (25, 8023, 1976, 1, 5949),
+        ),
+        ("binary", gen::binary_tree(10_000, 42), (14, 9999, 0, 1, 0)),
+        (
+            "broom",
+            gen::broom(5_000, 5_000, 42),
+            (28, 5026, 4973, 1, 14876),
+        ),
+    ];
+    for (name, f, want) in golden {
+        let c = f.contraction().seed(0x5EED).profiled().run(&SubtreeSum);
+        let t = c.profile().unwrap().totals();
+        assert_eq!(
+            (t.rounds, t.rakes, t.splices, t.finishes, t.coin_rejections),
+            want,
+            "{name}: (rounds, rakes, splices, finishes, coin rejections)"
+        );
+        assert_eq!(c.rounds(), want.0, "{name}");
+    }
+}

@@ -68,10 +68,9 @@ fn naive_path_nodes<L>(f: &Forest<L>, u: NodeId, v: NodeId) -> Option<Vec<NodeId
 /// against the naive oracles.
 fn check_queries<A>(name: &str, f: &Forest<A::Label>, alg: &A, nq: usize, seed: u64)
 where
-    A: PathAlgebra + Sync,
-    A::Label: Sync,
-    A::Val: Send + Sync + PartialEq + std::fmt::Debug,
-    A::PathVal: Send + Sync + PartialEq + std::fmt::Debug,
+    A: PathAlgebra,
+    A::Val: PartialEq + std::fmt::Debug,
+    A::PathVal: PartialEq + std::fmt::Debug,
 {
     let c = f.contraction().seed(seed).run(alg);
     let oracle = f.sequential_fold(alg);

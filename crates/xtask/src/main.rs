@@ -9,9 +9,9 @@
 //!    provably-unreachable sites use the crate's `invariant!` macro or
 //!    carry an explicit `lint:allow(panic): <reason>` marker on the same
 //!    or previous line. Test modules (`#[cfg(test)]` tails) are exempt.
-//! 2. **thread confinement** (`thread` rule): `std::thread` may only be
-//!    named in `par.rs`, the designated parallel substrate, so a future
-//!    backend swap stays a one-module change.
+//! 2. **serial engine** (`thread` rule): `dtc-core` library code must not
+//!    name `std::thread`. The engine is serial by design; a parallel
+//!    engine is a deliberate redesign that starts by changing this rule.
 //! 3. **telemetry gating** (`obs-gate` rule): every `sink.phase(..)` /
 //!    `sink.round(..)` call site must sit behind an `S::ENABLED` guard
 //!    (directly or via a timestamp that is `Some` only when enabled), so
@@ -214,9 +214,6 @@ fn lint_panics(file: &Path, text: &str, findings: &mut Vec<Finding>) {
 }
 
 fn lint_threads(file: &Path, text: &str, findings: &mut Vec<Finding>) {
-    if file.file_name().is_some_and(|f| f == "par.rs") {
-        return;
-    }
     let lines: Vec<&str> = text.lines().collect();
     for (i, &line) in lines.iter().enumerate() {
         if is_comment(line) {
@@ -228,9 +225,7 @@ fn lint_threads(file: &Path, text: &str, findings: &mut Vec<Finding>) {
                 file: file.to_path_buf(),
                 line: i + 1,
                 rule: "thread",
-                msg: "`std::thread` outside par.rs; route parallelism through the \
-                      par substrate"
-                    .into(),
+                msg: "`std::thread` in dtc-core; the engine is serial".into(),
             });
         }
     }
@@ -381,13 +376,13 @@ mod tests {
     }
 
     #[test]
-    fn thread_rule_exempts_par_rs() {
-        let src = "use std::thread;\n";
+    fn thread_rule_flags_every_core_file() {
+        let src = "use std::thread;\n// std::thread in a comment is fine\n";
         let mut findings = Vec::new();
-        lint_threads(Path::new("crates/core/src/par.rs"), src, &mut findings);
-        assert!(findings.is_empty());
+        lint_threads(Path::new("crates/core/src/lib.rs"), src, &mut findings);
         lint_threads(Path::new("crates/core/src/engine.rs"), src, &mut findings);
-        assert_eq!(findings.len(), 1);
+        assert_eq!(findings.len(), 2, "{findings:#?}");
+        assert!(findings.iter().all(|f| f.line == 1));
     }
 
     #[test]
