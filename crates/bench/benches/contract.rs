@@ -154,7 +154,8 @@ fn main() {
 
     // Batch query engine vs 1k individual naive lookups per shape. The
     // batch pays one O(n) context pass over the trace and then O(log² n)
-    // per query; the naive baseline pays an O(depth) parent walk per
+    // per query (a `DynForest` caches the shape half of that pass across
+    // batches); the naive baseline pays an O(depth) parent walk per
     // query. Deep shapes (path, caterpillar) are where batching wins by
     // orders of magnitude; shallow shapes show the flat cost of the
     // context pass. Both sides run the same 1k-query mix (250 each of
@@ -184,6 +185,21 @@ fn main() {
                         .len()
                 },
             );
+            h.attach(&name, "queries", Json::num(batch.len() as u32));
+        }
+        // The same batch through `DynForest::query_batch`, which answers
+        // from its maintained trace. The cross-check below also builds the
+        // trace's cached shape part, so the timed runs price a repeated
+        // batch: the per-batch path folds plus the queries.
+        let name = format!("dyn_query_batch_1k/{shape}");
+        if h.selected(&name) {
+            let d = DynForest::new(f.clone(), SubtreeSum);
+            assert_eq!(
+                d.query_batch(&batch),
+                contraction.query_batch(&f, &SubtreeSum, &batch),
+                "DynForest and Contraction query batches must agree on {shape}"
+            );
+            h.bench(&name, || (), |()| d.query_batch(&batch).unwrap().len());
             h.attach(&name, "queries", Json::num(batch.len() as u32));
         }
         let name = format!("individual_query_1k/{shape}");

@@ -5,6 +5,7 @@ use crate::algebra::Algebra;
 use crate::arena::{Forest, NONE};
 use crate::engine::{Death, Scratch};
 use crate::obs::{NoopSink, Phase, Profile, Sink};
+use crate::query::{TraceView, Vals};
 use crate::NodeId;
 use std::time::Instant;
 
@@ -119,6 +120,18 @@ impl<A: Algebra> Contraction<A> {
         self.profile.as_deref()
     }
 
+    /// Borrowed view of the trace, the form the query resolver and the
+    /// trace validator read.
+    pub(crate) fn view(&self) -> TraceView<'_, A> {
+        TraceView {
+            up: &self.up,
+            hop_off: &self.hop_off,
+            hop_victims: &self.hop_victims,
+            death_round: &self.death_round,
+            vals: Vals::Solved(&self.vals),
+        }
+    }
+
     /// Verifies the structural invariants of the recorded trace against the
     /// forest it was built from (`check` feature):
     ///
@@ -142,99 +155,110 @@ impl<A: Algebra> Contraction<A> {
     /// forest.
     #[cfg(feature = "check")]
     pub fn validate<L>(&self, forest: &Forest<L>) -> Result<(), crate::check::InvariantError> {
-        use crate::check::{ensure, Euler};
-        let n = forest.len();
-        ensure!(
-            self.vals.len() == n
-                && self.death_round.len() == n
-                && self.up.len() == n
-                && self.hop_off.len() == n + 1,
-            "trace arrays are not sized to the forest ({n} nodes)"
-        );
-        let euler = Euler::of(forest)?;
-
-        for v in 0..n as u32 {
-            let vi = v as usize;
-            ensure!(
-                self.death_round[vi] >= 1,
-                "node n{v} never died (death round 0)"
-            );
-            let up = self.up[vi];
-            if forest.parent_raw(v) == NONE {
-                ensure!(
-                    up == NONE,
-                    "original root n{v} has trace parent n{up} instead of NONE"
-                );
-            } else {
-                ensure!(up != NONE, "non-root n{v} finished without a trace parent");
-                ensure!(
-                    (up as usize) < n,
-                    "trace parent of n{v} ({up}) is out of range"
-                );
-                ensure!(
-                    euler.is_anc(up, v) && up != v,
-                    "trace parent n{up} of n{v} is not a proper ancestor"
-                );
-                ensure!(
-                    self.death_round[up as usize] > self.death_round[vi],
-                    "death rounds not strictly increasing along up[]: n{v} (round {}) -> n{up} (round {})",
-                    self.death_round[vi],
-                    self.death_round[up as usize]
-                );
-            }
-        }
-
-        ensure!(
-            self.hop_off[0] == 0 && self.hop_off[n] as usize == self.hop_victims.len(),
-            "hop CSR offsets do not span the victim array"
-        );
-        let mut hosted = vec![false; n];
-        for x in 0..n {
-            ensure!(
-                self.hop_off[x] <= self.hop_off[x + 1],
-                "hop CSR offsets not monotone at n{x}"
-            );
-            let lo = self.hop_off[x] as usize;
-            let hi = self.hop_off[x + 1] as usize;
-            let up = self.up[x];
-            let mut prev_round = 0u32;
-            for &victim in &self.hop_victims[lo..hi] {
-                ensure!(
-                    (victim as usize) < n,
-                    "hop victim n{victim} of n{x} is out of range"
-                );
-                ensure!(
-                    !hosted[victim as usize],
-                    "node n{victim} appears in two hop lists — not a partition"
-                );
-                hosted[victim as usize] = true;
-                ensure!(
-                    forest.parent_raw(victim) != NONE,
-                    "original root n{victim} was recorded as compressed"
-                );
-                ensure!(
-                    euler.is_anc(victim, x as u32) && victim != x as u32,
-                    "hop victim n{victim} is not a proper ancestor of its host n{x}"
-                );
-                ensure!(
-                    up != NONE && euler.is_anc(up, victim) && up != victim,
-                    "hop victim n{victim} of n{x} is not strictly below up[n{x}]"
-                );
-                let vr = self.death_round[victim as usize];
-                ensure!(
-                    vr > prev_round,
-                    "hop list of n{x} not in strictly ascending death round"
-                );
-                ensure!(
-                    vr < self.death_round[x],
-                    "hop victim n{victim} (round {vr}) outlived its surviving child n{x} (round {})",
-                    self.death_round[x]
-                );
-                prev_round = vr;
-            }
-        }
-        Ok(())
+        validate_trace(forest, &self.view())
     }
+}
+
+/// The trace rules of [`Contraction::validate`], over any [`TraceView`]:
+/// a finished contraction's or the trace a
+/// [`DynForest`](crate::DynForest) maintains.
+#[cfg(feature = "check")]
+pub(crate) fn validate_trace<L, A: Algebra>(
+    forest: &Forest<L>,
+    t: &TraceView<'_, A>,
+) -> Result<(), crate::check::InvariantError> {
+    use crate::check::{ensure, Euler};
+    let n = forest.len();
+    ensure!(
+        t.vals_len() == n
+            && t.death_round.len() == n
+            && t.up.len() == n
+            && t.hop_off.len() == n + 1,
+        "trace arrays are not sized to the forest ({n} nodes)"
+    );
+    let euler = Euler::of(forest)?;
+
+    for v in 0..n as u32 {
+        let vi = v as usize;
+        ensure!(
+            t.death_round[vi] >= 1,
+            "node n{v} never died (death round 0)"
+        );
+        let up = t.up[vi];
+        if forest.parent_raw(v) == NONE {
+            ensure!(
+                up == NONE,
+                "original root n{v} has trace parent n{up} instead of NONE"
+            );
+        } else {
+            ensure!(up != NONE, "non-root n{v} finished without a trace parent");
+            ensure!(
+                (up as usize) < n,
+                "trace parent of n{v} ({up}) is out of range"
+            );
+            ensure!(
+                euler.is_anc(up, v) && up != v,
+                "trace parent n{up} of n{v} is not a proper ancestor"
+            );
+            ensure!(
+                t.death_round[up as usize] > t.death_round[vi],
+                "death rounds not strictly increasing along up[]: n{v} (round {}) -> n{up} (round {})",
+                t.death_round[vi],
+                t.death_round[up as usize]
+            );
+        }
+    }
+
+    ensure!(
+        t.hop_off[0] == 0 && t.hop_off[n] as usize == t.hop_victims.len(),
+        "hop CSR offsets do not span the victim array"
+    );
+    let mut hosted = vec![false; n];
+    for x in 0..n {
+        ensure!(
+            t.hop_off[x] <= t.hop_off[x + 1],
+            "hop CSR offsets not monotone at n{x}"
+        );
+        let lo = t.hop_off[x] as usize;
+        let hi = t.hop_off[x + 1] as usize;
+        let up = t.up[x];
+        let mut prev_round = 0u32;
+        for &victim in &t.hop_victims[lo..hi] {
+            ensure!(
+                (victim as usize) < n,
+                "hop victim n{victim} of n{x} is out of range"
+            );
+            ensure!(
+                !hosted[victim as usize],
+                "node n{victim} appears in two hop lists — not a partition"
+            );
+            hosted[victim as usize] = true;
+            ensure!(
+                forest.parent_raw(victim) != NONE,
+                "original root n{victim} was recorded as compressed"
+            );
+            ensure!(
+                euler.is_anc(victim, x as u32) && victim != x as u32,
+                "hop victim n{victim} is not a proper ancestor of its host n{x}"
+            );
+            ensure!(
+                up != NONE && euler.is_anc(up, victim) && up != victim,
+                "hop victim n{victim} of n{x} is not strictly below up[n{x}]"
+            );
+            let vr = t.death_round[victim as usize];
+            ensure!(
+                vr > prev_round,
+                "hop list of n{x} not in strictly ascending death round"
+            );
+            ensure!(
+                vr < t.death_round[x],
+                "hop victim n{victim} (round {vr}) outlived its surviving child n{x} (round {})",
+                t.death_round[x]
+            );
+            prev_round = vr;
+        }
+    }
+    Ok(())
 }
 
 /// Builder for a contraction run, created by [`Forest::contraction`].
@@ -347,7 +371,7 @@ where
         // lint:allow(panic): the engine runs until every active node dies
         .map(|v| v.expect("every node contracted"))
         .collect();
-    let (up, hop_off, hop_victims) = scratch.trace_links(n);
+    let (hop_off, hop_victims) = scratch.trace_links(n);
     let kinds = scratch.death[..n]
         .iter()
         .map(|d| match d {
@@ -364,7 +388,7 @@ where
         components: outcome.components,
         rounds: outcome.rounds,
         death_round: scratch.death_round,
-        up,
+        up: scratch.death_parent,
         hop_off,
         hop_victims,
         kinds,

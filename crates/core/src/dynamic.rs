@@ -28,14 +28,17 @@
 //! Values are resolved lazily from the trace (`O(rounds)` per read, no
 //! per-node value cache to keep coherent), which is why reads return
 //! values rather than references and why *any* pending edit makes every
-//! read stale until [`DynForest::recompute`] runs.
+//! read stale until [`DynForest::recompute`] runs. Query batches
+//! ([`DynForest::query_batch`]) read the same trace whenever it is a full
+//! contraction of the current shape, i.e. outside the window between a
+//! structural recompute and the next re-anchor.
 
 use crate::algebra::{PathAlgebra, Propagate};
 use crate::arena::{Forest, NONE};
 use crate::engine::{Death, Scratch};
 use crate::obs::{EngineCounters, NoopSink, Phase, Profile};
 use crate::propagate::{resolve_val, Replay};
-use crate::query::{QueryBatch, QueryError, QueryOutcome};
+use crate::query::{resolve_batch, QueryBatch, QueryError, QueryOutcome, Shape, TraceView};
 use crate::rng::splitmix64;
 use crate::NodeId;
 use std::fmt;
@@ -783,15 +786,21 @@ impl<A: Propagate> DynForest<A> {
     /// silently answering from stale data — call
     /// [`DynForest::recompute`] first.
     ///
-    /// Internally this runs a fresh full contraction to obtain a
-    /// consistent trace. A cut/link batch re-contracts only the dirty set,
-    /// which leaves a mixed-generation trace behind: a clean node's
-    /// recorded shortcut parent may predate a cut that later re-routed the
-    /// path above it, and that trace persists until the next label batch
-    /// re-anchors. Queries need one coherent trace, and a single
-    /// `O(n log n)` w.h.p. contraction amortized over a batch of thousands
-    /// of queries is the cheapest way to get one. The answers themselves
-    /// are still `O(log n)` each on top of that shared pass.
+    /// Whenever the maintained trace is coherent — after construction and
+    /// after every label-only [`recompute`](DynForest::recompute), which
+    /// propagates or re-anchors — the batch is answered straight from it:
+    /// no contraction runs. The label-independent part of the batch
+    /// context (Euler intervals, component roots, victim order) is built
+    /// by the first such batch and reused until the trace is rebuilt, so a
+    /// later batch costs one `O(victims)` pass of path folds plus
+    /// `O(log² n)` per query.
+    ///
+    /// A cut/link recompute re-contracts only the dirty set, which leaves
+    /// a mixed-generation trace behind: a clean node's recorded shortcut
+    /// parent may predate a cut that re-routed the path above it. Until
+    /// the next label batch re-anchors, this runs one fresh full
+    /// contraction per call and resolves against that through the same
+    /// resolver.
     pub fn query_batch(&self, batch: &QueryBatch) -> Result<Vec<QueryOutcome<A>>, QueryError>
     where
         A: PathAlgebra,
@@ -801,8 +810,22 @@ impl<A: Propagate> DynForest<A> {
                 pending: self.dirty_list.len(),
             });
         }
-        let c = self.forest.contraction().seed(self.seed).run(&self.alg);
-        c.query_batch(&self.forest, &self.alg, batch)
+        let Some(view) = self.stored_view() else {
+            let c = self.forest.contraction().seed(self.seed).run(&self.alg);
+            return c.query_batch(&self.forest, &self.alg, batch);
+        };
+        let shape = self
+            .replay
+            .shape
+            .get_or_init(|| Shape::build(&self.forest, &view));
+        Ok(resolve_batch(&self.forest, &view, shape, &self.alg, batch))
+    }
+
+    /// The maintained trace as a query view, or `None` while it is not a
+    /// full contraction of the current shape: after a cut/link recompute
+    /// (until the next label batch re-anchors) or with a cut/link pending.
+    pub(crate) fn stored_view(&self) -> Option<TraceView<'_, A>> {
+        (self.replay.valid && !self.has_structural).then(|| self.replay.view(&self.scratch))
     }
 
     /// Verifies the structural invariants of the dynamic layer
@@ -817,9 +840,15 @@ impl<A: Propagate> DynForest<A> {
     ///   enumeration of exactly the flagged nodes. (Edit marks are *not*
     ///   upward-closed: label edits mark only the edited node, and change
     ///   propagation finds the ancestors through the trace.)
+    /// * **stored trace** — while the maintained trace is a full
+    ///   contraction of the current shape (the state in which
+    ///   [`DynForest::query_batch`] reads it), it satisfies every rule of
+    ///   [`Contraction::validate`](crate::Contraction::validate), and the
+    ///   cached query shape, if built, has well-nested Euler intervals.
     ///
     /// Returns a descriptive [`InvariantError`](crate::check::InvariantError)
-    /// for the first violation. `O(n)`.
+    /// for the first violation. `O(n)` plus one Euler tour when the stored
+    /// trace is checked.
     #[cfg(feature = "check")]
     pub fn validate(&self) -> Result<(), crate::check::InvariantError> {
         use crate::check::ensure;
@@ -883,6 +912,13 @@ impl<A: Propagate> DynForest<A> {
                 );
             }
         }
+
+        if let Some(view) = self.stored_view() {
+            crate::contract::validate_trace(&self.forest, &view)?;
+            if let Some(shape) = self.replay.shape.get() {
+                shape.check_euler(&self.forest)?;
+            }
+        }
         Ok(())
     }
 
@@ -915,6 +951,15 @@ impl<A: Propagate> DynForest<A> {
     }
 }
 
+// `DynForest` stays `Send + Sync`: the lazily built query shape lives in
+// a thread-safe cell, and a `Cell`/`RefCell` cache would fail this build.
+const _: () = {
+    fn _assert<T: Send + Sync>() {}
+    fn _dyn_forest_is_send_sync() {
+        _assert::<DynForest<crate::MinMax>>();
+    }
+};
+
 impl<A: Propagate> Clone for DynForest<A> {
     fn clone(&self) -> Self {
         DynForest {
@@ -934,5 +979,64 @@ impl<A: Propagate> Clone for DynForest<A> {
             seed: self.seed,
             profile: self.profile.clone(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{gen, MinMax};
+
+    #[test]
+    fn query_batches_read_the_stored_trace_only_while_it_is_coherent() {
+        let mut d = DynForest::new(gen::random_tree(2_000, 5), MinMax);
+        let (a, b) = (NodeId(17), NodeId(1_234));
+        let mut batch = QueryBatch::new();
+        batch.subtree(a).path(a, b).lca(a, b).component_value(b);
+
+        assert!(d.stored_view().is_some(), "fresh forest");
+        assert!(d.replay.shape.get().is_none(), "shape is built lazily");
+        let fresh = d.query_batch(&batch).unwrap();
+        assert!(
+            d.replay.shape.get().is_some(),
+            "first batch caches the shape"
+        );
+
+        d.batch_update_weights(&[(a, 1 << 40), (b, -(1 << 40))]);
+        d.recompute();
+        assert!(d.stored_view().is_some(), "after a propagated label batch");
+        assert!(
+            d.replay.shape.get().is_some(),
+            "label batches keep the shape"
+        );
+        let propagated = d.query_batch(&batch).unwrap();
+        assert_ne!(fresh, propagated, "answers follow the new labels");
+
+        let cut = d.forest().parent(b).map_or(a, |_| b);
+        d.batch_cut(&[cut]);
+        assert!(d.stored_view().is_none(), "cut pending");
+        d.recompute();
+        assert!(d.stored_view().is_none(), "after a cut recompute");
+        d.query_batch(&batch).unwrap();
+
+        d.batch_update_weights(&[(a, 9)]);
+        d.recompute();
+        assert!(
+            d.stored_view().is_some(),
+            "after the re-anchoring label batch"
+        );
+        assert!(
+            d.replay.shape.get().is_none(),
+            "re-anchor drops the old shape"
+        );
+        assert!(d.clone().stored_view().is_some(), "clones keep the trace");
+
+        d.set_propagation(false);
+        d.batch_update_weights(&[(b, 4)]);
+        d.recompute();
+        assert!(
+            d.stored_view().is_none(),
+            "a legacy label recompute leaves a mixed-generation trace"
+        );
     }
 }

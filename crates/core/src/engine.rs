@@ -434,23 +434,24 @@ impl<A: Algebra> Scratch<A> {
     #[inline(always)]
     fn check_round(&self, _round: u32, _live: &[u32], _deaths_before: usize) {}
 
-    /// Extracts the shortcut structure of the last run over nodes `0..n`:
-    /// each node's working parent at death (`up`), plus CSR hop lists
-    /// (`hop_off`, `hop_victims`) giving, for every node `x`, the nodes that
-    /// were spliced out from directly above it — i.e. the original-tree
-    /// ancestors lying strictly between `x` and `up[x]`, in ascending death
-    /// round (equivalently, bottom-to-top along the original path).
+    /// Extracts the hop lists of the last run over nodes `0..n` as a CSR
+    /// (`hop_off`, `hop_victims`): for every node `x`, the nodes that were
+    /// spliced out from directly above it — i.e. the original-tree
+    /// ancestors lying strictly between `x` and its working parent at death
+    /// (`death_parent[x]`), in ascending death round (equivalently,
+    /// bottom-to-top along the original path).
     ///
-    /// Concatenating `x`, `hop_victims(x)`, `up[x]`, `hop_victims(up[x])`,
-    /// … therefore reconstructs `x`'s *entire* original ancestor path while
-    /// only ever following `O(rounds)` shortcut pointers; this is what the
-    /// batch query engine traverses.
+    /// Concatenating `x`, `hop_victims(x)`, `death_parent[x]`,
+    /// `hop_victims(death_parent[x])`, … therefore reconstructs `x`'s
+    /// *entire* original ancestor path while only ever following
+    /// `O(rounds)` shortcut pointers; this is what the batch query engine
+    /// traverses, and the order in which change propagation refolds a
+    /// splice chain.
     ///
     /// Only meaningful after a run whose active set was the full `0..n`
     /// range (static contraction); a dirty-set run leaves stale entries for
     /// untouched nodes.
-    pub fn trace_links(&self, n: usize) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-        let up = self.death_parent[..n].to_vec();
+    pub fn trace_links(&self, n: usize) -> (Vec<u32>, Vec<u32>) {
         let mut hop_off = vec![0u32; n + 1];
         for &u in &self.death_order {
             if let Death::Compressed { child, .. } = &self.death[u as usize] {
@@ -471,7 +472,7 @@ impl<A: Algebra> Scratch<A> {
                 cursor[c] += 1;
             }
         }
-        (up, hop_off, hop_victims)
+        (hop_off, hop_victims)
     }
 
     /// Replays the death trace in reverse, writing the final subtree value

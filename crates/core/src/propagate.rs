@@ -3,16 +3,17 @@
 //! The round-stamped death trace left behind by a full contraction is a
 //! dependency DAG: every rake delivered a contribution to the victim's
 //! working parent, and every splice folded a victim's unary function into
-//! the surviving chain. [`Replay`] materializes that DAG once — per-slot
-//! cached results plus, for every node, an aggregate of its children's
-//! contributions — and then re-executes **only the slots whose inputs
-//! changed** when a batch of label edits lands:
+//! the surviving chain. [`Replay`] materializes that DAG once — the hop
+//! lists of the splice chains plus, for every node, an aggregate of its
+//! children's contributions — and then re-executes **only the slots whose
+//! inputs changed** when a batch of label edits lands:
 //!
 //! 1. every edited node is seeded into a priority queue keyed by its death
 //!    round;
 //! 2. slots drain in ascending death round. A raked slot re-runs its fold;
-//!    if the recomputed contribution equals the cached one the wave *cuts
-//!    off*, otherwise the parent's child-aggregate is patched and the
+//!    if the recomputed contribution equals the recorded one (its edge
+//!    function applied to its recorded value) the wave *cuts off*,
+//!    otherwise the parent's child-aggregate is patched and the
 //!    parent is scheduled. A compressed slot schedules its surviving child
 //!    with a pending *refold* (the chain's composed functions are
 //!    re-derived bottom-to-top). A root slot re-finishes its value.
@@ -38,9 +39,11 @@ use crate::algebra::{Algebra, Propagate};
 use crate::arena::Forest;
 use crate::engine::{Death, Scratch};
 use crate::obs::{Phase, Sink};
+use crate::query::{Shape, TraceView, Vals};
 use crate::NodeId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Resolves the final subtree value of `v` from the death trace alone.
@@ -155,17 +158,19 @@ pub(crate) struct PropagateOutcome {
 pub(crate) struct Replay<A: Propagate> {
     /// `false` until [`Replay::rebuild`] runs against a coherent trace.
     pub valid: bool,
-    /// Cached contribution each raked node delivered to its working
-    /// parent (`None` for compressed nodes and roots, which deliver
-    /// through composed functions instead).
-    contrib: Vec<Option<A::Val>>,
-    /// For every survivor, the nodes spliced onto it, in ascending death
-    /// round — bottom-to-top along the original path, the order their
-    /// functions compose in.
-    victims: Vec<Vec<u32>>,
+    /// Hop CSR of the contraction the tables were rebuilt from ([`Scratch::trace_links`]): for every
+    /// survivor, the nodes spliced onto it, in ascending death round —
+    /// bottom-to-top along the original path, the order their functions
+    /// compose in.
+    hop_off: Vec<u32>,
+    hop_victims: Vec<u32>,
     /// Aggregated child contributions per node (minus the surviving
     /// chain's slot for compressed nodes).
     kids: Kids<A>,
+    /// Shape part of the query context over this trace, built by the
+    /// first query batch that needs it. Label edits leave it valid;
+    /// [`Replay::rebuild`] drops it with the tables it describes.
+    pub shape: OnceLock<Shape>,
     /// Scheduling flags for the current pass; always reset before return.
     affected: Vec<bool>,
     refold: Vec<bool>,
@@ -175,9 +180,10 @@ impl<A: Propagate> Replay<A> {
     pub fn new() -> Self {
         Replay {
             valid: false,
-            contrib: Vec::new(),
-            victims: Vec::new(),
+            hop_off: Vec::new(),
+            hop_victims: Vec::new(),
             kids: Kids::Flat(Vec::new()),
+            shape: OnceLock::new(),
             affected: Vec::new(),
             refold: Vec::new(),
         }
@@ -188,30 +194,15 @@ impl<A: Propagate> Replay<A> {
     /// `O(n + trace)` using one backsolve sweep for child values.
     pub fn rebuild(&mut self, alg: &A, children: &[Vec<u32>], scratch: &Scratch<A>) {
         let n = children.len();
-        self.contrib.clear();
-        self.contrib.resize(n, None);
-        self.victims.clear();
-        self.victims.resize(n, Vec::new());
         self.affected.clear();
         self.affected.resize(n, false);
         self.refold.clear();
         self.refold.resize(n, false);
-
-        // `death_order` is chronological, so each victim list comes out in
-        // ascending death round without sorting.
-        for &u in &scratch.death_order {
-            if let Death::Compressed { child, .. } = &scratch.death[u as usize] {
-                self.victims[*child as usize].push(u);
-            }
-        }
+        (self.hop_off, self.hop_victims) = scratch.trace_links(n);
+        self.shape = OnceLock::new();
 
         let mut vals: Vec<Option<A::Val>> = vec![None; n];
         scratch.backsolve(alg, &mut vals);
-        for u in 0..n {
-            if let Death::Raked(val) = &scratch.death[u] {
-                self.contrib[u] = Some(alg.apply(&scratch.fun[u], val.clone()));
-            }
-        }
 
         // A compressed node's aggregate excludes the slot of the chain
         // that spliced it out — that chain outlives it and contributes at
@@ -263,6 +254,20 @@ impl<A: Propagate> Replay<A> {
         self.valid = true;
     }
 
+    /// The trace in `scratch` as a query view: the shortcut links and
+    /// round stamps live in the scratch, the hop lists here, and values
+    /// resolve lazily from the death records. Coherent only while
+    /// `self.valid` holds for that same scratch.
+    pub fn view<'a>(&'a self, scratch: &'a Scratch<A>) -> TraceView<'a, A> {
+        TraceView {
+            up: &scratch.death_parent,
+            hop_off: &self.hop_off,
+            hop_victims: &self.hop_victims,
+            death_round: &scratch.death_round,
+            vals: Vals::Deaths(&scratch.death),
+        }
+    }
+
     /// Replays the trace slots affected by the edited nodes in `dirty`,
     /// updating death records (and caches) in place so that
     /// [`resolve_val`] afterwards returns post-edit values everywhere.
@@ -283,8 +288,8 @@ impl<A: Propagate> Replay<A> {
             None
         };
         let Replay {
-            contrib,
-            victims,
+            hop_off,
+            hop_victims,
             kids,
             affected,
             refold,
@@ -308,33 +313,34 @@ impl<A: Propagate> Replay<A> {
                 rounds += 1;
                 last = stamp;
             }
-            if refold[ui] {
-                refold_chain(alg, forest, victims, kids, scratch, u);
-            }
-            enum Slot {
-                Raked,
+            enum Slot<V> {
+                /// Carries the contribution the slot last delivered.
+                Raked(V),
                 Compressed(u32),
                 Root,
             }
+            // Read before a refold rewrites the slot's edge function: a
+            // raked slot's recorded contribution is its edge function
+            // applied to its recorded value.
             let slot = match &scratch.death[ui] {
-                Death::Raked(_) => Slot::Raked,
+                Death::Raked(val) => Slot::Raked(alg.apply(&scratch.fun[ui], val.clone())),
                 Death::Compressed { child, .. } => Slot::Compressed(*child),
                 Death::Root(_) => Slot::Root,
                 // lint:allow(panic): the replay was built from a completed trace
                 Death::None => unreachable!("propagation reached a node without a death record"),
             };
+            if refold[ui] {
+                let chain = &hop_victims[hop_off[ui] as usize..hop_off[ui + 1] as usize];
+                refold_chain(alg, forest, chain, kids, scratch, u);
+            }
             match slot {
-                Slot::Raked => {
+                Slot::Raked(old) => {
                     let mut acc = alg.init_acc(forest.label(NodeId(u)));
                     alg.absorb_part(&mut acc, kids.root(ui));
                     let val = alg.finish(&acc);
                     let new = alg.apply(&scratch.fun[ui], val.clone());
                     scratch.death[ui] = Death::Raked(val);
-                    if contrib[ui].as_ref() != Some(&new) {
-                        let old = contrib[ui]
-                            .replace(new.clone())
-                            // lint:allow(panic): rebuild caches a contribution for every raked node
-                            .expect("raked node has a cached contribution");
+                    if old != new {
                         let p = scratch.death_parent[ui];
                         kids.update(alg, p as usize, scratch.sib[ui], old, new);
                         schedule(affected, &mut heap, scratch.death_round[p as usize], p);
@@ -384,8 +390,9 @@ fn schedule(affected: &mut [bool], heap: &mut BinaryHeap<Reverse<(u32, u32)>>, s
     }
 }
 
-/// Re-derives the composed functions of `x`'s splice chain, exactly as the
-/// engine built them: walking the victims bottom-to-top, each victim's
+/// Re-derives the composed functions of `x`'s splice chain `chain` (its
+/// hop list), exactly as the engine built them: walking the victims
+/// bottom-to-top, each victim's
 /// recorded function becomes `to_fun(acc(victim)) ∘ f` (where `f` is the
 /// composition so far) and `x`'s edge function accumulates
 /// `fun(victim) ∘ that`. Rewrites the victims' death records and `x`'s
@@ -393,13 +400,13 @@ fn schedule(affected: &mut [bool], heap: &mut BinaryHeap<Reverse<(u32, u32)>>, s
 fn refold_chain<A: Propagate>(
     alg: &A,
     forest: &Forest<A::Label>,
-    victims: &[Vec<u32>],
+    chain: &[u32],
     kids: &Kids<A>,
     scratch: &mut Scratch<A>,
     x: u32,
 ) {
     let mut f = alg.identity();
-    for &v in &victims[x as usize] {
+    for &v in chain {
         let vi = v as usize;
         let mut acc = alg.init_acc(forest.label(NodeId(v)));
         alg.absorb_part(&mut acc, kids.root(vi));
@@ -414,9 +421,10 @@ impl<A: Propagate> Clone for Replay<A> {
     fn clone(&self) -> Self {
         Replay {
             valid: self.valid,
-            contrib: self.contrib.clone(),
-            victims: self.victims.clone(),
+            hop_off: self.hop_off.clone(),
+            hop_victims: self.hop_victims.clone(),
             kids: self.kids.clone(),
+            shape: self.shape.clone(),
             affected: self.affected.clone(),
             refold: self.refold.clone(),
         }

@@ -2,8 +2,11 @@
 //!
 //! A [`QueryBatch`] resolves thousands of heterogeneous queries — subtree
 //! aggregates, path aggregates, LCAs, component roots/values — against one
-//! [`Contraction`] in a **single pass** over the contraction DAG, instead
-//! of walking the tree once per query.
+//! contraction trace in a **single pass** over the contraction DAG,
+//! instead of walking the tree once per query. The trace is either a
+//! finished [`Contraction`] or the one a [`DynForest`](crate::DynForest)
+//! keeps up to date under edits; both are read through one borrowed view
+//! and answered by one resolver.
 //!
 //! The enabling observation: the engine records, for every node, its
 //! *working parent at death* ([`Contraction::trace_parent`]). Those
@@ -32,10 +35,16 @@
 //!   those, so a full hop contributes in `O(1)` and the final partial hop
 //!   in an `O(log²)` descent. Requires a [`PathAlgebra`].
 //!
-//! Resolution cost is one `O(n)` context pass per batch plus `O(log² n)`
-//! per query, so a 1k-query batch on a 100k-node path costs ~`n` work
-//! where 1k naive walks would cost ~`n · k`. Queries resolve one after
-//! another, in batch order.
+//! The context pass has two parts. The *shape part* — Euler intervals,
+//! component roots, and the victims' hosts in death-round order — is one
+//! `O(n)` pass that depends only on the forest shape and the trace. The
+//! *label part* — the closed weights' prefix folds — is `O(victims)` path
+//! folds. [`Contraction::query_batch`] builds both per batch, so a
+//! 1k-query batch on a 100k-node path costs ~`n` work where 1k naive
+//! walks would cost ~`n · k`. A [`DynForest`](crate::DynForest) caches the
+//! shape part with its trace, so a repeated batch pays only the label
+//! part plus `O(log² n)` per query. Queries resolve one after another, in
+//! batch order.
 //!
 //! The API is uniformly non-panicking: per-query failures (unknown node
 //! ids) come back as per-query `Err`s, cross-component path/LCA queries
@@ -59,6 +68,8 @@
 use crate::algebra::{Algebra, PathAlgebra};
 use crate::arena::{Forest, NONE};
 use crate::contract::Contraction;
+use crate::engine::Death;
+use crate::propagate::resolve_val;
 use crate::NodeId;
 use std::fmt;
 
@@ -240,164 +251,257 @@ impl std::error::Error for QueryError {}
 pub type QueryOutcome<A> =
     Result<Answer<<A as Algebra>::Val, <A as PathAlgebra>::PathVal>, QueryError>;
 
-/// Per-batch context: one `O(n)` pass over the forest + trace, shared by
-/// every query in the batch.
-struct Ctx<P> {
+/// Where a [`TraceView`] reads final subtree values from.
+pub(crate) enum Vals<'a, A: Algebra> {
+    /// Solved per-node values ([`Contraction::values`]).
+    Solved(&'a [A::Val]),
+    /// The death records of a maintained trace, resolved lazily with
+    /// [`resolve_val`] (`O(rounds)` per read).
+    Deaths(&'a [Death<A>]),
+}
+
+/// A borrowed view of one coherent full-contraction trace: everything the
+/// batch resolver and the trace validator read. Built over a finished
+/// [`Contraction`] or over the trace a [`DynForest`](crate::DynForest)
+/// maintains, so both answer queries through the same code.
+pub(crate) struct TraceView<'a, A: Algebra> {
+    /// Working parent at death; `NONE` for finished roots.
+    pub up: &'a [u32],
+    /// CSR offsets into `hop_victims`, length `n + 1`.
+    pub hop_off: &'a [u32],
+    /// Per node, the nodes spliced out from directly above it, bottom to
+    /// top (see [`Contraction::trace_victims`]).
+    pub hop_victims: &'a [u32],
+    /// Death round (1-based) per node.
+    pub death_round: &'a [u32],
+    /// Final subtree values.
+    pub vals: Vals<'a, A>,
+}
+
+impl<'a, A: Algebra> TraceView<'a, A> {
+    /// `x`'s victim list as a `lo..hi` range of `hop_victims`.
+    #[inline]
+    fn hop(&self, x: u32) -> (usize, usize) {
+        (
+            self.hop_off[x as usize] as usize,
+            self.hop_off[x as usize + 1] as usize,
+        )
+    }
+
+    /// Final subtree value of `v`.
+    fn val(&self, alg: &A, v: u32) -> A::Val {
+        match &self.vals {
+            Vals::Solved(vals) => vals[v as usize].clone(),
+            Vals::Deaths(death) => resolve_val(alg, death, v),
+        }
+    }
+
+    /// Number of nodes the value source covers.
+    #[cfg(feature = "check")]
+    pub(crate) fn vals_len(&self) -> usize {
+        match &self.vals {
+            Vals::Solved(vals) => vals.len(),
+            Vals::Deaths(death) => death.len(),
+        }
+    }
+}
+
+/// The label-independent part of a batch context: one `O(n)` pass over
+/// the forest shape and the trace. It stays valid while neither changes,
+/// so [`DynForest`](crate::DynForest) builds it once per trace and every
+/// later batch only pays for [`build_ctx`].
+#[derive(Clone)]
+pub(crate) struct Shape {
     /// Euler entry time (ancestor tests in O(1)).
     tin: Vec<u32>,
     /// Euler exit time.
     tout: Vec<u32>,
     /// Component root of every node.
     root: Vec<u32>,
-    /// Prefix folds of victim *closed weights* (label ⊕ entire recursive
-    /// gap) within each hop's victim segment, aligned with
-    /// `Contraction::hop_victims`.
-    hop_pref: Vec<P>,
+    /// For every victim, the node whose hop list holds it (`NONE` for
+    /// nodes that were never spliced out).
+    host: Vec<u32>,
+    /// Positions in `hop_victims`, in ascending death round of the victim
+    /// they hold.
+    order: Vec<u32>,
 }
 
-impl<P> Ctx<P> {
+impl Shape {
+    /// Euler tour of `forest` plus the victims' hosts and death-round
+    /// order from `t`.
+    pub(crate) fn build<A: Algebra>(forest: &Forest<A::Label>, t: &TraceView<'_, A>) -> Shape {
+        let n = forest.len();
+        // Child lists in flat CSR form (one allocation, children in id
+        // order — the same order `Forest::build_children` derives).
+        let mut kid_off = vec![0u32; n + 1];
+        for v in 0..n as u32 {
+            let p = forest.parent(NodeId(v));
+            if let Some(p) = p {
+                kid_off[p.index() + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            kid_off[i + 1] += kid_off[i];
+        }
+        let mut cursor = kid_off.clone();
+        let mut kids = vec![0u32; n.saturating_sub(forest.roots().count())];
+        for v in 0..n as u32 {
+            if let Some(p) = forest.parent(NodeId(v)) {
+                kids[cursor[p.index()] as usize] = v;
+                cursor[p.index()] += 1;
+            }
+        }
+
+        let mut tin = vec![0u32; n];
+        let mut tout = vec![0u32; n];
+        let mut root = vec![0u32; n];
+        let mut clock = 0u32;
+        let mut stack: Vec<(u32, u32)> = Vec::new();
+        for r in forest.roots() {
+            let rr = r.raw();
+            tin[rr as usize] = clock;
+            clock += 1;
+            root[rr as usize] = rr;
+            stack.push((rr, kid_off[rr as usize]));
+            while let Some((u, ci)) = stack.last_mut() {
+                let u = *u;
+                if *ci < kid_off[u as usize + 1] {
+                    let k = kids[*ci as usize];
+                    *ci += 1;
+                    tin[k as usize] = clock;
+                    clock += 1;
+                    root[k as usize] = rr;
+                    stack.push((k, kid_off[k as usize]));
+                } else {
+                    tout[u as usize] = clock;
+                    clock += 1;
+                    stack.pop();
+                }
+            }
+        }
+
+        let mut host = vec![NONE; n];
+        for x in 0..n as u32 {
+            let (lo, hi) = t.hop(x);
+            for &vt in &t.hop_victims[lo..hi] {
+                host[vt as usize] = x;
+            }
+        }
+        // Counting sort of the victim positions by death round.
+        let round = |vt: u32| t.death_round[vt as usize] as usize;
+        let rounds = t.hop_victims.iter().map(|&vt| round(vt)).max();
+        let mut next = vec![0u32; rounds.map_or(1, |r| r + 2)];
+        for &vt in t.hop_victims {
+            next[round(vt) + 1] += 1;
+        }
+        for r in 1..next.len() {
+            next[r] += next[r - 1];
+        }
+        let mut order = vec![0u32; t.hop_victims.len()];
+        for (i, &vt) in t.hop_victims.iter().enumerate() {
+            let slot = &mut next[round(vt)];
+            order[*slot as usize] = i as u32;
+            *slot += 1;
+        }
+
+        let shape = Shape {
+            tin,
+            tout,
+            root,
+            host,
+            order,
+        };
+        #[cfg(feature = "check")]
+        if let Err(e) = shape.check_euler(forest) {
+            crate::check::invariant!(false, "{}", e.message());
+        }
+        shape
+    }
+
     /// `true` iff `a` is an ancestor of `b` (or equal).
     #[inline]
     fn is_anc(&self, a: u32, b: u32) -> bool {
         self.tin[a as usize] <= self.tin[b as usize]
             && self.tout[b as usize] <= self.tout[a as usize]
     }
-}
 
-fn build_ctx<A: PathAlgebra>(
-    forest: &Forest<A::Label>,
-    c: &Contraction<A>,
-    alg: &A,
-) -> Ctx<A::PathVal> {
-    let n = forest.len();
-    // Child lists in flat CSR form (one allocation, children in id order —
-    // the same order `Forest::build_children` derives).
-    let mut kid_off = vec![0u32; n + 1];
-    for v in 0..n as u32 {
-        let p = forest.parent(NodeId(v));
-        if let Some(p) = p {
-            kid_off[p.index() + 1] += 1;
-        }
-    }
-    for i in 0..n {
-        kid_off[i + 1] += kid_off[i];
-    }
-    let mut cursor = kid_off.clone();
-    let mut kids = vec![0u32; n.saturating_sub(forest.roots().count())];
-    for v in 0..n as u32 {
-        if let Some(p) = forest.parent(NodeId(v)) {
-            kids[cursor[p.index()] as usize] = v;
-            cursor[p.index()] += 1;
-        }
-    }
-
-    let mut tin = vec![0u32; n];
-    let mut tout = vec![0u32; n];
-    let mut root = vec![0u32; n];
-    let mut clock = 0u32;
-    let mut stack: Vec<(u32, u32)> = Vec::new();
-    for r in forest.roots() {
-        let rr = r.raw();
-        tin[rr as usize] = clock;
-        clock += 1;
-        root[rr as usize] = rr;
-        stack.push((rr, kid_off[rr as usize]));
-        while let Some((u, ci)) = stack.last_mut() {
-            let u = *u;
-            if *ci < kid_off[u as usize + 1] {
-                let k = kids[*ci as usize];
-                *ci += 1;
-                tin[k as usize] = clock;
-                clock += 1;
-                root[k as usize] = rr;
-                stack.push((k, kid_off[k as usize]));
-            } else {
-                tout[u as usize] = clock;
-                clock += 1;
-                stack.pop();
+    /// Euler-interval nesting sweep (`check` feature): the intervals are
+    /// sized to `forest`, every interval is non-empty and every non-root's
+    /// interval lies strictly inside its parent's — the property the
+    /// batch engine's `O(1)` ancestor tests and victim-list binary
+    /// searches rest on. `O(n)`.
+    #[cfg(feature = "check")]
+    pub(crate) fn check_euler<L>(
+        &self,
+        forest: &Forest<L>,
+    ) -> Result<(), crate::check::InvariantError> {
+        use crate::check::ensure;
+        let n = forest.len();
+        ensure!(
+            self.tin.len() == n && self.tout.len() == n && self.root.len() == n,
+            "Euler intervals are not sized to the forest ({n} nodes)"
+        );
+        for v in 0..n as u32 {
+            let vi = v as usize;
+            ensure!(
+                self.tin[vi] < self.tout[vi],
+                "Euler interval of n{v} is empty or inverted"
+            );
+            let p = forest.parent_raw(v);
+            if p != NONE {
+                let pi = p as usize;
+                ensure!(
+                    self.tin[pi] < self.tin[vi] && self.tout[vi] < self.tout[pi],
+                    "Euler interval of n{v} is not nested inside its parent n{p}"
+                );
             }
         }
-    }
-    if crate::check::ENABLED {
-        check_euler(forest, &tin, &tout);
-    }
-
-    // Closed weight of a victim `y`: C(y) = label(y) ⊕ G(y), where
-    // G(y) folds the closed weights of y's own victims — i.e. everything
-    // strictly between y and up[y], recursively. A victim dies strictly
-    // before its host (the host still has a live child when the victim is
-    // spliced), so one sweep in ascending death round completes every G
-    // before it is read. Rounds are small, so counting sort.
-    let mut host = vec![NONE; n];
-    for x in 0..n {
-        let (lo, hi) = (c.hop_off[x] as usize, c.hop_off[x + 1] as usize);
-        for &vt in &c.hop_victims[lo..hi] {
-            host[vt as usize] = x as u32;
-        }
-    }
-    let rounds = c.rounds() as usize;
-    let mut by_round: Vec<Vec<u32>> = vec![Vec::new(); rounds + 1];
-    for (v, &h) in host.iter().enumerate() {
-        if h != NONE {
-            by_round[c.death_round(NodeId(v as u32)) as usize].push(v as u32);
-        }
-    }
-    let mut gap: Vec<A::PathVal> = (0..n).map(|_| alg.path_empty()).collect();
-    let mut closed: Vec<A::PathVal> = (0..n).map(|_| alg.path_empty()).collect();
-    for bucket in &by_round {
-        for &y in bucket {
-            let yi = y as usize;
-            let cy = alg.path_concat(&alg.path_of(forest.label(NodeId(y))), &gap[yi]);
-            let h = host[yi] as usize;
-            gap[h] = alg.path_concat(&gap[h], &cy);
-            closed[yi] = cy;
-        }
-    }
-    let mut hop_pref: Vec<A::PathVal> = Vec::with_capacity(c.hop_victims.len());
-    for x in 0..n {
-        let (lo, hi) = (c.hop_off[x] as usize, c.hop_off[x + 1] as usize);
-        let mut acc = alg.path_empty();
-        for &vt in &c.hop_victims[lo..hi] {
-            acc = alg.path_concat(&acc, &closed[vt as usize]);
-            hop_pref.push(acc.clone());
-        }
-    }
-
-    Ctx {
-        tin,
-        tout,
-        root,
-        hop_pref,
+        Ok(())
     }
 }
 
-/// Euler-interval nesting sweep (`check` feature): every interval is
-/// non-empty and every non-root's interval lies strictly inside its
-/// parent's — the property the batch engine's `O(1)` ancestor tests and
-/// victim-list binary searches rest on. `O(n)` per batch context.
-#[cfg(feature = "check")]
-fn check_euler<L>(forest: &Forest<L>, tin: &[u32], tout: &[u32]) {
-    use crate::check::invariant;
-    for v in 0..forest.len() as u32 {
-        let vi = v as usize;
-        invariant!(
-            tin[vi] < tout[vi],
-            "Euler interval of n{v} is empty or inverted"
-        );
-        let p = forest.parent_raw(v);
-        if p != NONE {
-            let pi = p as usize;
-            invariant!(
-                tin[pi] < tin[vi] && tout[vi] < tout[pi],
-                "Euler interval of n{v} is not nested inside its parent n{p}"
-            );
-        }
-    }
+/// Per-batch context: the shape part plus the label-dependent prefix
+/// folds, shared by every query in the batch.
+struct Ctx<'s, P> {
+    shape: &'s Shape,
+    /// Prefix folds of victim *closed weights* (label ⊕ entire recursive
+    /// gap) within each hop's victim segment, aligned with `hop_victims`.
+    hop_pref: Vec<P>,
 }
 
-#[cfg(not(feature = "check"))]
-#[inline(always)]
-fn check_euler<L>(_forest: &Forest<L>, _tin: &[u32], _tout: &[u32]) {}
+/// The label part of a batch context: `O(victims)` path folds.
+///
+/// The closed weight of a victim `y` is `C(y) = label(y) ⊕ G(y)`, where
+/// `G(y)` folds the closed weights of y's own victims — everything
+/// strictly between y and its host's shortcut parent, recursively. `G(y)`
+/// is exactly the last prefix of y's own segment. A victim dies strictly
+/// before its host and strictly after its predecessor in the host's list,
+/// so one sweep in ascending death round finds both prefixes it reads
+/// already complete.
+fn build_ctx<'s, A: PathAlgebra>(
+    forest: &Forest<A::Label>,
+    t: &TraceView<'_, A>,
+    shape: &'s Shape,
+    alg: &A,
+) -> Ctx<'s, A::PathVal> {
+    let mut hop_pref: Vec<A::PathVal> = vec![alg.path_empty(); t.hop_victims.len()];
+    for &i in &shape.order {
+        let i = i as usize;
+        let y = t.hop_victims[i];
+        let (lo, hi) = t.hop(y);
+        let mut closed = alg.path_of(forest.label(NodeId(y)));
+        if hi > lo {
+            closed = alg.path_concat(&closed, &hop_pref[hi - 1]);
+        }
+        let first = t.hop_off[shape.host[y as usize] as usize] as usize;
+        hop_pref[i] = if i > first {
+            alg.path_concat(&hop_pref[i - 1], &closed)
+        } else {
+            closed
+        };
+    }
+    Ctx { shape, hop_pref }
+}
 
 /// Lowest common ancestor via the shortcut chain: climb from `u` until the
 /// hop's top is an ancestor of `v`; the LCA then lies in that hop's gap
@@ -407,33 +511,30 @@ fn check_euler<L>(_forest: &Forest<L>, _tin: &[u32], _tout: &[u32]) {}
 /// descend into the preceding victim's own list and repeat. Each descent
 /// moves to a strictly earlier death round, bounding the depth by the
 /// round count.
-fn lca_raw<A: Algebra, P>(c: &Contraction<A>, ctx: &Ctx<P>, u: u32, v: u32) -> Option<u32> {
-    if ctx.root[u as usize] != ctx.root[v as usize] {
+fn lca_raw<A: Algebra>(t: &TraceView<'_, A>, s: &Shape, u: u32, v: u32) -> Option<u32> {
+    if s.root[u as usize] != s.root[v as usize] {
         return None;
     }
-    if ctx.is_anc(u, v) {
+    if s.is_anc(u, v) {
         return Some(u);
     }
-    if ctx.is_anc(v, u) {
+    if s.is_anc(v, u) {
         return Some(v);
     }
     let mut x = u;
     let mut fallback = loop {
-        let nxt = c.up[x as usize];
+        let nxt = t.up[x as usize];
         debug_assert!(nxt != NONE, "climb passed the component root");
-        if ctx.is_anc(nxt, v) {
+        if s.is_anc(nxt, v) {
             break nxt;
         }
         x = nxt;
     };
     // The LCA is the lowest ancestor of `v` in gap(x) ∪ {fallback}.
     loop {
-        let (lo, hi) = (
-            c.hop_off[x as usize] as usize,
-            c.hop_off[x as usize + 1] as usize,
-        );
-        let seg = &c.hop_victims[lo..hi];
-        let idx = seg.partition_point(|&vt| !ctx.is_anc(vt, v));
+        let (lo, hi) = t.hop(x);
+        let seg = &t.hop_victims[lo..hi];
+        let idx = seg.partition_point(|&vt| !s.is_anc(vt, v));
         if idx == 0 {
             // Nothing lies strictly between a node and its first victim
             // (resp. its shortcut parent, when the list is empty).
@@ -455,8 +556,8 @@ fn lca_raw<A: Algebra, P>(c: &Contraction<A>, ctx: &Ctx<P>, u: u32, v: u32) -> O
 /// each victim list (which ascends the tree, i.e. has decreasing `tin`).
 fn seg_to_excl<A: PathAlgebra>(
     forest: &Forest<A::Label>,
-    c: &Contraction<A>,
-    ctx: &Ctx<A::PathVal>,
+    t: &TraceView<'_, A>,
+    ctx: &Ctx<'_, A::PathVal>,
     alg: &A,
     u: u32,
     w: u32,
@@ -464,16 +565,14 @@ fn seg_to_excl<A: PathAlgebra>(
     if u == w {
         return None;
     }
+    let s = ctx.shape;
     let mut x = u;
     let mut acc = alg.path_of(forest.label(NodeId(u)));
     // Climb full hops while `w` is above the hop top.
     loop {
-        let nxt = c.up[x as usize];
+        let nxt = t.up[x as usize];
         debug_assert!(nxt != NONE, "segment climb passed the component root");
-        let (lo, hi) = (
-            c.hop_off[x as usize] as usize,
-            c.hop_off[x as usize + 1] as usize,
-        );
+        let (lo, hi) = t.hop(x);
         if nxt == w {
             // The whole gap lies strictly below `w`.
             if hi > lo {
@@ -481,7 +580,7 @@ fn seg_to_excl<A: PathAlgebra>(
             }
             return Some(acc);
         }
-        if ctx.is_anc(nxt, w) {
+        if s.is_anc(nxt, w) {
             // `w` sits strictly inside gap(x): stop climbing and descend.
             break;
         }
@@ -494,13 +593,10 @@ fn seg_to_excl<A: PathAlgebra>(
     // `w` is strictly between `x` and `up[x]`; fold the part of the gap
     // below `w`, descending into nested victim lists as needed.
     loop {
-        let (lo, hi) = (
-            c.hop_off[x as usize] as usize,
-            c.hop_off[x as usize + 1] as usize,
-        );
-        let seg = &c.hop_victims[lo..hi];
+        let (lo, hi) = t.hop(x);
+        let seg = &t.hop_victims[lo..hi];
         // Victims strictly below `w` (deeper ⇒ larger tin on a chain).
-        let idx = seg.partition_point(|&vt| ctx.tin[vt as usize] > ctx.tin[w as usize]);
+        let idx = seg.partition_point(|&vt| s.tin[vt as usize] > s.tin[w as usize]);
         if idx < seg.len() && seg[idx] == w {
             // Everything below `w` in this gap: the closed prefix.
             if idx > 0 {
@@ -522,8 +618,8 @@ fn seg_to_excl<A: PathAlgebra>(
 
 fn resolve_one<A: PathAlgebra>(
     forest: &Forest<A::Label>,
-    c: &Contraction<A>,
-    ctx: &Ctx<A::PathVal>,
+    t: &TraceView<'_, A>,
+    ctx: &Ctx<'_, A::PathVal>,
     alg: &A,
     q: &Query,
 ) -> QueryOutcome<A> {
@@ -535,43 +631,61 @@ fn resolve_one<A: PathAlgebra>(
             Err(QueryError::UnknownNode { node: v, nodes: n })
         }
     };
+    let s = ctx.shape;
     match *q {
         Query::Subtree(v) => {
             let v = check(v)?;
-            Ok(Answer::Value(c.values()[v as usize].clone()))
+            Ok(Answer::Value(t.val(alg, v)))
         }
         Query::ComponentRoot(v) => {
             let v = check(v)?;
-            Ok(Answer::Node(NodeId(ctx.root[v as usize])))
+            Ok(Answer::Node(NodeId(s.root[v as usize])))
         }
         Query::ComponentValue(v) => {
             let v = check(v)?;
-            Ok(Answer::Value(
-                c.values()[ctx.root[v as usize] as usize].clone(),
-            ))
+            Ok(Answer::Value(t.val(alg, s.root[v as usize])))
         }
         Query::Lca(u, v) => {
             let (u, v) = (check(u)?, check(v)?);
-            Ok(match lca_raw(c, ctx, u, v) {
+            Ok(match lca_raw(t, s, u, v) {
                 Some(w) => Answer::Node(NodeId(w)),
                 None => Answer::NotConnected,
             })
         }
         Query::Path(u, v) => {
             let (u, v) = (check(u)?, check(v)?);
-            let Some(w) = lca_raw(c, ctx, u, v) else {
+            let Some(w) = lca_raw(t, s, u, v) else {
                 return Ok(Answer::NotConnected);
             };
             let mut agg = alg.path_of(forest.label(NodeId(w)));
-            if let Some(s) = seg_to_excl(forest, c, ctx, alg, u, w) {
-                agg = alg.path_concat(&agg, &s);
+            if let Some(seg) = seg_to_excl(forest, t, ctx, alg, u, w) {
+                agg = alg.path_concat(&agg, &seg);
             }
-            if let Some(s) = seg_to_excl(forest, c, ctx, alg, v, w) {
-                agg = alg.path_concat(&agg, &s);
+            if let Some(seg) = seg_to_excl(forest, t, ctx, alg, v, w) {
+                agg = alg.path_concat(&agg, &seg);
             }
             Ok(Answer::PathValue(agg))
         }
     }
+}
+
+/// Resolves every query of `batch` against the trace `t` of `forest`,
+/// whose shape part `shape` was built from the same two. The one resolver
+/// behind both [`Contraction::query_batch`] and
+/// [`DynForest::query_batch`](crate::DynForest::query_batch).
+pub(crate) fn resolve_batch<A: PathAlgebra>(
+    forest: &Forest<A::Label>,
+    t: &TraceView<'_, A>,
+    shape: &Shape,
+    alg: &A,
+    batch: &QueryBatch,
+) -> Vec<QueryOutcome<A>> {
+    let ctx = build_ctx(forest, t, shape, alg);
+    batch
+        .queries()
+        .iter()
+        .map(|q| resolve_one(forest, t, &ctx, alg, q))
+        .collect()
 }
 
 impl<A: Algebra> Contraction<A> {
@@ -602,11 +716,8 @@ impl<A: Algebra> Contraction<A> {
                 contraction_nodes: n,
             });
         }
-        let ctx = build_ctx(forest, self, alg);
-        Ok(batch
-            .queries()
-            .iter()
-            .map(|q| resolve_one(forest, self, &ctx, alg, q))
-            .collect())
+        let view = self.view();
+        let shape = Shape::build(forest, &view);
+        Ok(resolve_batch(forest, &view, &shape, alg, batch))
     }
 }

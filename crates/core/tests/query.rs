@@ -3,8 +3,9 @@
 //! non-panicking edit/read APIs must fail cleanly and roll back.
 
 use dtc_core::{
-    gen, Answer, DynForest, EditError, ExprEval, Forest, MinMax, NodeId, OrderedRake, PathAlgebra,
-    Query, QueryBatch, QueryError, SeqHash, SubtreeSum,
+    gen, Answer, DynForest, EditError, ExprEval, ExprLabel, ExprOp, Forest, MinMax, NodeId,
+    OrderedRake, PathAlgebra, Propagate, Query, QueryBatch, QueryError, QueryOutcome, SeqHash,
+    SubtreeSum,
 };
 
 fn xorshift(s: &mut u64) -> u64 {
@@ -64,22 +65,12 @@ fn naive_path_nodes<L>(f: &Forest<L>, u: NodeId, v: NodeId) -> Option<Vec<NodeId
     Some(nodes)
 }
 
-/// Builds a mixed batch of `nq` random queries and checks every answer
-/// against the naive oracles.
-fn check_queries<A>(name: &str, f: &Forest<A::Label>, alg: &A, nq: usize, seed: u64)
-where
-    A: PathAlgebra,
-    A::Val: PartialEq + std::fmt::Debug,
-    A::PathVal: PartialEq + std::fmt::Debug,
-{
-    let c = f.contraction().seed(seed).run(alg);
-    let oracle = f.sequential_fold(alg);
-    let n = f.len();
-    let mut rng = seed | 1;
+/// A mixed batch of `nq` random queries, cycling through all five kinds.
+fn mixed_batch(n: usize, nq: usize, rng: &mut u64) -> QueryBatch {
     let mut batch = QueryBatch::with_capacity(nq);
     for i in 0..nq {
-        let u = NodeId::from_index((xorshift(&mut rng) % n as u64) as usize);
-        let v = NodeId::from_index((xorshift(&mut rng) % n as u64) as usize);
+        let u = NodeId::from_index((xorshift(rng) % n as u64) as usize);
+        let v = NodeId::from_index((xorshift(rng) % n as u64) as usize);
         match i % 5 {
             0 => batch.subtree(u),
             1 => batch.path(u, v),
@@ -88,9 +79,26 @@ where
             _ => batch.component_value(u),
         };
     }
-    let answers = c.query_batch(f, alg, &batch).unwrap();
-    assert_eq!(answers.len(), nq, "{name}: one answer per query");
-    for (i, (q, a)) in batch.queries().iter().zip(&answers).enumerate() {
+    batch
+}
+
+/// Checks every answer of `batch` against the naive oracles: subtree and
+/// component values against `sequential_fold`, LCAs and paths against
+/// parent walks.
+fn assert_naive<A>(
+    name: &str,
+    f: &Forest<A::Label>,
+    alg: &A,
+    batch: &QueryBatch,
+    answers: &[QueryOutcome<A>],
+) where
+    A: PathAlgebra,
+    A::Val: PartialEq + std::fmt::Debug,
+    A::PathVal: PartialEq + std::fmt::Debug,
+{
+    let oracle = f.sequential_fold(alg);
+    assert_eq!(answers.len(), batch.len(), "{name}: one answer per query");
+    for (i, (q, a)) in batch.queries().iter().zip(answers).enumerate() {
         let a = a
             .as_ref()
             .unwrap_or_else(|e| panic!("{name}: query {i} failed: {e}"));
@@ -129,6 +137,21 @@ where
             },
         }
     }
+}
+
+/// Builds a mixed batch of `nq` random queries and checks every answer
+/// against the naive oracles.
+fn check_queries<A>(name: &str, f: &Forest<A::Label>, alg: &A, nq: usize, seed: u64)
+where
+    A: PathAlgebra,
+    A::Val: PartialEq + std::fmt::Debug,
+    A::PathVal: PartialEq + std::fmt::Debug,
+{
+    let c = f.contraction().seed(seed).run(alg);
+    let mut rng = seed | 1;
+    let batch = mixed_batch(f.len(), nq, &mut rng);
+    let answers = c.query_batch(f, alg, &batch).unwrap();
+    assert_naive(name, f, alg, &batch, &answers);
 }
 
 #[test]
@@ -471,5 +494,216 @@ fn ordered_rake_survives_dynamic_weight_updates() {
         for v in d.forest().node_ids() {
             assert_eq!(d.subtree_value(v), oracle[v.index()], "round {round}");
         }
+    }
+}
+
+/// An algebra the lifecycle test can drive: labels are drawn from a
+/// random word, and `leaf` says whether the node has no children (an
+/// expression leaf must stay childless, an operator may have any number
+/// of children).
+trait Lifecycle: PathAlgebra + Propagate
+where
+    Self::Val: PartialEq + std::fmt::Debug,
+    Self::PathVal: PartialEq + std::fmt::Debug,
+{
+    fn label(w: u64, leaf: bool) -> Self::Label;
+}
+
+impl Lifecycle for SubtreeSum {
+    fn label(w: u64, _leaf: bool) -> i64 {
+        (w % 1_000) as i64
+    }
+}
+
+impl Lifecycle for MinMax {
+    fn label(w: u64, _leaf: bool) -> i64 {
+        (w % 1_000) as i64 - 500
+    }
+}
+
+impl Lifecycle for ExprEval {
+    fn label(w: u64, leaf: bool) -> ExprLabel {
+        if leaf {
+            ExprLabel::Leaf((w % 7) as i64 - 3)
+        } else if w % 2 == 0 {
+            ExprLabel::Op(ExprOp::Add)
+        } else {
+            ExprLabel::Op(ExprOp::Mul)
+        }
+    }
+}
+
+/// Number of children of every node.
+fn child_counts<L>(f: &Forest<L>) -> Vec<u32> {
+    let mut kids = vec![0u32; f.len()];
+    for v in f.node_ids() {
+        if let Some(p) = f.parent(v) {
+            kids[p.index()] += 1;
+        }
+    }
+    kids
+}
+
+/// `f`'s shape with labels of algebra `A` (generators add every parent
+/// before its children, so ids carry over).
+fn relabel<A: Lifecycle>(f: &Forest<i64>) -> Forest<A::Label>
+where
+    A::Val: PartialEq + std::fmt::Debug,
+    A::PathVal: PartialEq + std::fmt::Debug,
+{
+    let kids = child_counts(f);
+    let mut out = Forest::with_capacity(f.len());
+    for v in f.node_ids() {
+        let label = A::label(*f.label(v) as u64, kids[v.index()] == 0);
+        match f.parent(v) {
+            None => out.add_root(label),
+            Some(p) => out.add_child(p, label),
+        };
+    }
+    out
+}
+
+/// `DynForest::query_batch` in one lifecycle state: equal to
+/// `Contraction::query_batch` over a fresh contraction of the current
+/// shape, and to the naive walks.
+fn check_state<A: Lifecycle>(name: &str, d: &DynForest<A>, alg: &A, nq: usize, rng: &mut u64)
+where
+    A::Val: PartialEq + std::fmt::Debug,
+    A::PathVal: PartialEq + std::fmt::Debug,
+{
+    #[cfg(feature = "check")]
+    d.validate()
+        .unwrap_or_else(|e| panic!("{name}: dynamic forest invalid: {e}"));
+    let f = d.forest();
+    let batch = mixed_batch(f.len(), nq, rng);
+    let got = d.query_batch(&batch).unwrap();
+    let fresh = f.contraction().seed(*rng).run(alg);
+    let want = fresh.query_batch(f, alg, &batch).unwrap();
+    assert!(
+        got == want,
+        "{name}: DynForest and a fresh contraction disagree"
+    );
+    assert_naive(name, f, alg, &batch, &got);
+}
+
+/// A label batch of `k` random nodes, keeping expression leaves childless.
+fn label_batch<A: Lifecycle>(d: &mut DynForest<A>, k: usize, rng: &mut u64)
+where
+    A::Val: PartialEq + std::fmt::Debug,
+    A::PathVal: PartialEq + std::fmt::Debug,
+{
+    let kids = child_counts(d.forest());
+    let n = d.len() as u64;
+    let updates: Vec<(NodeId, A::Label)> = (0..k)
+        .map(|_| {
+            let v = NodeId::from_index((xorshift(rng) % n) as usize);
+            (v, A::label(xorshift(rng), kids[v.index()] == 0))
+        })
+        .collect();
+    d.batch_update_weights(&updates);
+}
+
+/// Drives one forest through every state `DynForest::query_batch` can
+/// answer from: freshly built, after propagated label batches, after a
+/// cut/link recompute (the mixed-generation fallback), after the
+/// re-anchoring label batch, and on a clone.
+fn lifecycle<A: Lifecycle>(name: &str, f: &Forest<i64>, alg: A, nq: usize)
+where
+    A::Val: PartialEq + std::fmt::Debug,
+    A::PathVal: PartialEq + std::fmt::Debug,
+{
+    let mut rng = 0x1F3C_u64 ^ f.len() as u64;
+    let mut d = DynForest::new(relabel::<A>(f), alg.clone());
+    check_state(&format!("{name}: fresh"), &d, &alg, nq, &mut rng);
+
+    for _ in 0..2 {
+        label_batch(&mut d, 32, &mut rng);
+        let stats = d.recompute();
+        assert!(
+            stats.replayed_slots < stats.total,
+            "{name}: label batch propagated"
+        );
+    }
+    check_state(&format!("{name}: propagated"), &d, &alg, nq, &mut rng);
+
+    // Cut a few subtrees off, then link them back under nodes with
+    // children outside their own subtree, with label edits in the batch.
+    let n = d.len() as u64;
+    let mut cuts: Vec<NodeId> = Vec::new();
+    for _ in 0..8 {
+        let v = NodeId::from_index((xorshift(&mut rng) % n) as usize);
+        if d.forest().parent(v).is_some() && !cuts.contains(&v) {
+            cuts.push(v);
+        }
+    }
+    d.batch_cut(&cuts);
+    d.recompute();
+    check_state(&format!("{name}: after cut"), &d, &alg, nq, &mut rng);
+    let kids = child_counts(d.forest());
+    let inner: Vec<NodeId> = d
+        .forest()
+        .node_ids()
+        .filter(|v| kids[v.index()] > 0)
+        .collect();
+    let mut linked = 0;
+    for &child in cuts.iter().skip(1) {
+        // Checked against the shape the earlier links already changed.
+        let parent = inner[(xorshift(&mut rng) % inner.len() as u64) as usize];
+        if d.forest().root_of(parent) != child {
+            d.batch_link(&[(child, parent)]);
+            linked += 1;
+        }
+    }
+    assert!(linked > 0, "{name}: the link batch is structural");
+    label_batch(&mut d, 8, &mut rng);
+    d.recompute();
+    check_state(&format!("{name}: after link"), &d, &alg, nq, &mut rng);
+
+    label_batch(&mut d, 16, &mut rng);
+    let stats = d.recompute();
+    assert_eq!(
+        stats.replayed_slots, stats.total,
+        "{name}: label batch re-anchored"
+    );
+    check_state(&format!("{name}: re-anchored"), &d, &alg, nq, &mut rng);
+
+    let mut e = d.clone();
+    check_state(&format!("{name}: clone"), &e, &alg, nq, &mut rng);
+    label_batch(&mut e, 16, &mut rng);
+    e.recompute();
+    check_state(&format!("{name}: clone propagated"), &e, &alg, nq, &mut rng);
+}
+
+/// The six generator shapes at 10⁴ nodes.
+fn shapes_10k() -> Vec<(&'static str, Forest<i64>)> {
+    vec![
+        ("random(1e4)", gen::random_tree(10_000, 61)),
+        ("path(1e4)", gen::path(10_000, 62)),
+        ("star(1e4)", gen::star(10_000, 63)),
+        ("caterpillar(2500,3)", gen::caterpillar(2_500, 3, 64)),
+        ("binary(1e4)", gen::binary_tree(10_000, 65)),
+        ("broom(5e3,5e3)", gen::broom(5_000, 5_000, 66)),
+    ]
+}
+
+#[test]
+fn dyn_forest_query_batch_matches_fresh_contraction_through_its_lifecycle() {
+    for (name, f) in shapes_10k() {
+        lifecycle(&format!("sum {name}"), &f, SubtreeSum, 100);
+        lifecycle(&format!("minmax {name}"), &f, MinMax, 100);
+        lifecycle(&format!("expr {name}"), &f, ExprEval, 100);
+    }
+}
+
+#[test]
+fn dyn_forest_query_batch_matches_fresh_contraction_through_its_lifecycle_1e5() {
+    // Naive walks cost O(depth) per query, so the path gets fewer.
+    for (name, f, nq) in [
+        ("random(1e5)", gen::random_tree(100_000, 67), 100),
+        ("path(1e5)", gen::path(100_000, 68), 20),
+    ] {
+        lifecycle(&format!("sum {name}"), &f, SubtreeSum, nq);
+        lifecycle(&format!("minmax {name}"), &f, MinMax, nq);
+        lifecycle(&format!("expr {name}"), &f, ExprEval, nq);
     }
 }
