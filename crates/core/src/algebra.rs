@@ -49,7 +49,7 @@ pub trait Algebra: Clone {
     fn absorb(&self, acc: &mut Self::Acc, child: Self::Val);
 
     /// Like [`Algebra::absorb`], but also told the child's *sibling index*
-    /// (its position in the parent's child list). Commutative algebras keep
+    /// (its rank by id among the parent's children). Commutative algebras keep
     /// the default, which ignores the index; ordered (non-commutative)
     /// algebras such as [`OrderedRake`](crate::OrderedRake) override it to
     /// reassemble children in child-list order even though the engine

@@ -57,8 +57,9 @@ impl std::fmt::Display for NodeId {
 
 /// A rooted forest over arena-allocated nodes with labels of type `L`.
 ///
-/// The forest only stores parent pointers; child lists are derived on demand
-/// by the contraction engine and by [`DynForest`](crate::DynForest). Nodes
+/// The forest only stores parent pointers — they are the one copy of the
+/// shape. Child lists are derived on demand, always in ascending id order,
+/// so sibling order is a function of the shape alone. Nodes
 /// are append-only: build the shape with [`Forest::add_root`] and
 /// [`Forest::add_child`], then contract it or wrap it in a `DynForest` for
 /// batch-dynamic edits.
@@ -237,19 +238,149 @@ impl<L> Forest<L> {
             self.labels.len(),
             self.parent.len()
         );
-        // `Euler::of` re-checks parent ranges, then proves acyclicity by
+        // `euler_of` re-checks parent ranges, then proves acyclicity by
         // counting the nodes its root-down traversal reaches.
-        crate::check::Euler::of(self).map(|_| ())
+        crate::check::euler_of(self).map(|_| ())
     }
 
-    /// Builds child adjacency lists (index = parent, values = children).
-    pub(crate) fn build_children(&self) -> Vec<Vec<u32>> {
-        let mut children = vec![Vec::new(); self.len()];
-        for (i, &p) in self.parent.iter().enumerate() {
+    /// The forest's child lists as one CSR, built by a counting sort over
+    /// the parent pointers: ids ascend within each parent, so a child's
+    /// position in [`ChildCsr::of`] is its sibling slot everywhere — in
+    /// the engine, the dynamic layer and the sequential oracle alike.
+    /// `O(n)`, two allocations.
+    pub(crate) fn child_csr(&self) -> ChildCsr {
+        let n = self.len();
+        let mut off = vec![0u32; n + 1];
+        for &p in &self.parent {
             if p != NONE {
-                children[p as usize].push(i as u32);
+                off[p as usize + 1] += 1;
             }
         }
-        children
+        for i in 0..n {
+            off[i + 1] += off[i];
+        }
+        let mut kids = vec![0u32; off[n] as usize];
+        for (v, &p) in self.parent.iter().enumerate() {
+            if p != NONE {
+                kids[off[p as usize] as usize] = v as u32;
+                off[p as usize] += 1;
+            }
+        }
+        // Placing advanced each `off[p]` to the start of `p + 1`; shift
+        // them back instead of keeping a second cursor array.
+        off.copy_within(0..n, 1);
+        off[0] = 0;
+        ChildCsr { off, kids }
+    }
+
+    /// Iterative Euler tour from every root over [`Forest::child_csr`].
+    /// Every parent pointer must be in range; a node the roots do not
+    /// reach (a parent cycle) keeps the empty interval `[0, 0)`. `O(n)`.
+    pub(crate) fn euler(&self) -> Euler {
+        let n = self.len();
+        let children = self.child_csr();
+        let mut tin = vec![0u32; n];
+        let mut tout = vec![0u32; n];
+        let mut root = vec![0u32; n];
+        let mut clock = 0u32;
+        let mut stack: Vec<(u32, usize)> = Vec::new();
+        for r in self.roots() {
+            let r = r.raw();
+            tin[r as usize] = clock;
+            clock += 1;
+            root[r as usize] = r;
+            stack.push((r, 0));
+            while let Some((u, ci)) = stack.last_mut() {
+                let u = *u;
+                if let Some(&k) = children.of(u).get(*ci) {
+                    *ci += 1;
+                    tin[k as usize] = clock;
+                    clock += 1;
+                    root[k as usize] = r;
+                    stack.push((k, 0));
+                } else {
+                    tout[u as usize] = clock;
+                    clock += 1;
+                    stack.pop();
+                }
+            }
+        }
+        Euler { tin, tout, root }
+    }
+}
+
+/// Euler-tour intervals of a forest plus the component root of every
+/// node, built by [`Forest::euler`]: `O(1)` ancestor tests for the query
+/// engine and the validators.
+#[derive(Clone)]
+pub(crate) struct Euler {
+    /// Entry time of each node.
+    pub tin: Vec<u32>,
+    /// Exit time of each node.
+    pub tout: Vec<u32>,
+    /// Component root of each node.
+    pub root: Vec<u32>,
+}
+
+impl Euler {
+    /// `true` iff `a` is an ancestor of `b` (or equal).
+    #[inline]
+    pub(crate) fn is_anc(&self, a: u32, b: u32) -> bool {
+        self.tin[a as usize] <= self.tin[b as usize]
+            && self.tout[b as usize] <= self.tout[a as usize]
+    }
+}
+
+/// Child lists in flat CSR form, derived by [`Forest::child_csr`]; the
+/// forest's parent pointers stay the only stored shape.
+pub(crate) struct ChildCsr {
+    /// `off[v]..off[v + 1]` is `v`'s range of `kids`; length `n + 1`.
+    off: Vec<u32>,
+    kids: Vec<u32>,
+}
+
+impl ChildCsr {
+    /// Children of `v`, ascending by id.
+    #[inline]
+    pub(crate) fn of(&self, v: u32) -> &[u32] {
+        &self.kids[self.off[v as usize] as usize..self.off[v as usize + 1] as usize]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn child_csr_lists_every_non_root_once_under_its_parent_in_id_order() {
+        let mut f = crate::gen::random_forest(500, 4, 9);
+        // Edits leave no trace of their order: root n3 joins n1 after
+        // n1's other children, and n250 becomes a root.
+        f.set_parent_raw(3, 1);
+        f.set_parent_raw(250, NONE);
+        let csr = f.child_csr();
+        let mut seen = vec![0u32; f.len()];
+        for p in 0..f.len() as u32 {
+            let kids = csr.of(p);
+            assert!(kids.windows(2).all(|w| w[0] < w[1]), "n{p}: ids ascend");
+            for &c in kids {
+                assert_eq!(f.parent_raw(c), p, "n{c} listed under n{p}");
+                seen[c as usize] += 1;
+            }
+        }
+        for v in f.node_ids() {
+            let expect = u32::from(!f.is_root(v));
+            assert_eq!(
+                seen[v.index()],
+                expect,
+                "{v} listed {} times",
+                seen[v.index()]
+            );
+        }
+        assert_eq!(csr.of(1)[0], 3, "n3 sorts first among n1's children");
+
+        let empty = Forest::<i64>::new().child_csr();
+        assert_eq!(empty.off, vec![0]);
+        assert!(empty.kids.is_empty());
     }
 }

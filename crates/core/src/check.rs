@@ -323,67 +323,28 @@ pub(crate) fn must(r: Result<(), ConflictError>) {
     }
 }
 
-/// Euler tour intervals over a forest: `O(1)` ancestor tests for the
-/// validators, plus a cycle check for free (a cyclic parent graph never
-/// visits all nodes).
+/// The forest's Euler tour ([`Forest::euler`](crate::Forest)), or an
+/// error naming a dangling parent pointer or a parent cycle (a cyclic
+/// parent graph never reaches every node from the roots).
 #[cfg(feature = "check")]
-pub(crate) struct Euler {
-    tin: Vec<u32>,
-    tout: Vec<u32>,
-}
-
-#[cfg(feature = "check")]
-impl Euler {
-    /// Computes intervals, or reports a parent cycle / dangling parent.
-    pub(crate) fn of<L>(forest: &crate::Forest<L>) -> Result<Euler, InvariantError> {
-        let n = forest.len();
-        for v in 0..n as u32 {
-            let p = forest.parent_raw(v);
-            ensure!(
-                p == crate::arena::NONE || (p as usize) < n,
-                "parent pointer of n{v} ({p}) is out of range for {n} nodes"
-            );
-        }
-        let children = forest.build_children();
-        let mut tin = vec![0u32; n];
-        let mut tout = vec![0u32; n];
-        let mut clock = 0u32;
-        let mut visited = 0usize;
-        let mut stack: Vec<(u32, usize)> = Vec::new();
-        for r in forest.roots() {
-            stack.push((r.raw(), 0));
-            tin[r.index()] = clock;
-            clock += 1;
-            visited += 1;
-            while let Some((u, ci)) = stack.last_mut() {
-                let u = *u;
-                if *ci < children[u as usize].len() {
-                    let k = children[u as usize][*ci];
-                    *ci += 1;
-                    tin[k as usize] = clock;
-                    clock += 1;
-                    visited += 1;
-                    stack.push((k, 0));
-                } else {
-                    tout[u as usize] = clock;
-                    clock += 1;
-                    stack.pop();
-                }
-            }
-        }
+pub(crate) fn euler_of<L>(
+    forest: &crate::Forest<L>,
+) -> Result<crate::arena::Euler, InvariantError> {
+    let n = forest.len();
+    for v in 0..n as u32 {
+        let p = forest.parent_raw(v);
         ensure!(
-            visited == n,
-            "parent links reach only {visited} of {n} nodes from the roots (cycle?)"
+            p == crate::arena::NONE || (p as usize) < n,
+            "parent pointer of n{v} ({p}) is out of range for {n} nodes"
         );
-        Ok(Euler { tin, tout })
     }
-
-    /// `true` iff `a` is an ancestor of `b` (or equal).
-    #[inline]
-    pub(crate) fn is_anc(&self, a: u32, b: u32) -> bool {
-        self.tin[a as usize] <= self.tin[b as usize]
-            && self.tout[b as usize] <= self.tout[a as usize]
-    }
+    let euler = forest.euler();
+    let reached = (0..n).filter(|&v| euler.tin[v] < euler.tout[v]).count();
+    ensure!(
+        reached == n,
+        "parent links reach only {reached} of {n} nodes from the roots (cycle?)"
+    );
+    Ok(euler)
 }
 
 #[cfg(test)]

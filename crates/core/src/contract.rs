@@ -167,7 +167,7 @@ pub(crate) fn validate_trace<L, A: Algebra>(
     forest: &Forest<L>,
     t: &TraceView<'_, A>,
 ) -> Result<(), crate::check::InvariantError> {
-    use crate::check::{ensure, Euler};
+    use crate::check::{ensure, euler_of};
     let n = forest.len();
     ensure!(
         t.vals_len() == n
@@ -176,7 +176,7 @@ pub(crate) fn validate_trace<L, A: Algebra>(
             && t.hop_off.len() == n + 1,
         "trace arrays are not sized to the forest ({n} nodes)"
     );
-    let euler = Euler::of(forest)?;
+    let euler = euler_of(forest)?;
 
     for v in 0..n as u32 {
         let vi = v as usize;
@@ -401,8 +401,9 @@ impl<L> Forest<L> {
     /// shares only the [`Algebra`] with the contraction engine, making it a
     /// correctness oracle for [`ContractOptions::run`].
     ///
-    /// Children are absorbed left-to-right (child-list order) with their
-    /// sibling index, so the oracle is valid for ordered algebras too.
+    /// Children are absorbed in ascending id order with their sibling
+    /// index — the child order every other layer uses — so the oracle is
+    /// valid for ordered algebras too.
     ///
     /// Returns the final subtree value of every node, indexed by
     /// [`NodeId::index`]. Runs in `O(n)` with an explicit stack, so deep
@@ -412,7 +413,7 @@ impl<L> Forest<L> {
         A: Algebra<Label = L>,
     {
         let n = self.len();
-        let children = self.build_children();
+        let children = self.child_csr();
 
         // Preorder via explicit stack; reversed, every child precedes its
         // parent, which is exactly the fold order we need.
@@ -420,21 +421,22 @@ impl<L> Forest<L> {
         let mut stack: Vec<u32> = self.roots().map(|r| r.raw()).collect();
         while let Some(u) = stack.pop() {
             order.push(u);
-            stack.extend_from_slice(&children[u as usize]);
+            stack.extend_from_slice(children.of(u));
         }
         assert_eq!(order.len(), n, "parent links must be acyclic");
 
-        let mut vals: Vec<Option<A::Val>> = vec![None; n];
+        // Values are pushed in fold order; `at[u]` is where `u`'s landed,
+        // and every child's lands before its parent reads it.
+        let mut folded: Vec<A::Val> = Vec::with_capacity(n);
+        let mut at = vec![0u32; n];
         for &u in order.iter().rev() {
             let mut acc = alg.init_acc(self.label(NodeId(u)));
-            for (i, &c) in children[u as usize].iter().enumerate() {
-                // lint:allow(panic): reverse preorder folds children before parents
-                let cv = vals[c as usize].clone().expect("children folded first");
-                alg.absorb_at(&mut acc, i as u32, cv);
+            for (i, &c) in children.of(u).iter().enumerate() {
+                alg.absorb_at(&mut acc, i as u32, folded[at[c as usize] as usize].clone());
             }
-            vals[u as usize] = Some(alg.finish(&acc));
+            at[u as usize] = folded.len() as u32;
+            folded.push(alg.finish(&acc));
         }
-        // lint:allow(panic): the loop above fills every slot
-        vals.into_iter().map(|v| v.unwrap()).collect()
+        at.iter().map(|&i| folded[i as usize].clone()).collect()
     }
 }

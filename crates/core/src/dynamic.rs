@@ -22,8 +22,13 @@
 //!   clean children entering as pre-resolved constants, and the replay
 //!   tables are invalidated. The next label-only recompute re-anchors on
 //!   one fresh full contraction before returning to pure propagation.
-//!   [`DynForest::set_propagation`] forces the legacy path everywhere,
-//!   which is what the differential tests diff against.
+//!
+//! The arena's parent pointers are the only stored shape: every pass that
+//! needs children derives them with [`Forest::child_csr`], in ascending id
+//! order, so sibling order — and with it every ordered algebra's answer —
+//! is a function of the current shape alone, never of edit history. The
+//! coin seed is fixed at construction, so a re-anchored trace is exactly
+//! the trace a fresh contraction of the same shape and seed records.
 //!
 //! Values are resolved lazily from the trace (`O(rounds)` per read, no
 //! per-node value cache to keep coherent), which is why reads return
@@ -39,7 +44,6 @@ use crate::engine::{Death, Scratch};
 use crate::obs::{EngineCounters, NoopSink, Phase, Profile};
 use crate::propagate::{resolve_val, Replay};
 use crate::query::{resolve_batch, QueryBatch, QueryError, QueryOutcome, Shape, TraceView};
-use crate::rng::splitmix64;
 use crate::NodeId;
 use std::fmt;
 use std::time::Instant;
@@ -178,20 +182,15 @@ impl fmt::Display for UpdateStats {
 pub struct DynForest<A: Propagate> {
     alg: A,
     forest: Forest<A::Label>,
-    children: Vec<Vec<u32>>,
-    /// Position of each node in its parent's child list (stale for roots),
-    /// so cuts are O(1) instead of a scan of the parent's children.
-    child_slot: Vec<u32>,
     dirty: Vec<bool>,
     dirty_list: Vec<u32>,
     /// `true` once a cut/link landed since the last recompute; forces the
     /// legacy dirty-set path (the trace no longer matches the shape).
     has_structural: bool,
-    /// `false` routes label-only batches through the legacy path too —
-    /// the differential-testing baseline.
-    use_propagation: bool,
     scratch: Scratch<A>,
     replay: Replay<A>,
+    /// Coin seed of every contraction this forest runs; fixed at
+    /// construction.
     seed: u64,
     /// Telemetry collector; `Some` once profiling is enabled. Boxed so the
     /// common unprofiled forest stays small.
@@ -209,22 +208,12 @@ impl<A: Propagate> DynForest<A> {
     /// Like [`DynForest::new`] with an explicit coin seed (reproducibility).
     pub fn with_seed(forest: Forest<A::Label>, alg: A, seed: u64) -> Self {
         let n = forest.len();
-        let children = forest.build_children();
-        let mut child_slot = vec![0u32; n];
-        for kids in &children {
-            for (i, &c) in kids.iter().enumerate() {
-                child_slot[c as usize] = i as u32;
-            }
-        }
         let mut d = DynForest {
             alg,
             forest,
-            children,
-            child_slot,
             dirty: vec![false; n],
             dirty_list: Vec::new(),
             has_structural: false,
-            use_propagation: true,
             scratch: Scratch::default(),
             replay: Replay::new(),
             seed,
@@ -262,22 +251,6 @@ impl<A: Propagate> DynForest<A> {
     /// back off.
     pub fn take_profile(&mut self) -> Option<Profile> {
         self.profile.take().map(|p| *p)
-    }
-
-    /// Chooses how label-only batches recompute: `true` (the default)
-    /// replays the contraction trace by change propagation; `false`
-    /// forces the legacy dirty-set re-contraction everywhere.
-    ///
-    /// Both paths produce identical values — the legacy path exists as
-    /// the differential-testing baseline and as the fallback structural
-    /// edits take automatically.
-    pub fn set_propagation(&mut self, enabled: bool) {
-        self.use_propagation = enabled;
-    }
-
-    /// `true` when label-only batches recompute by trace propagation.
-    pub fn propagation_enabled(&self) -> bool {
-        self.use_propagation
     }
 
     /// Read access to the underlying forest shape.
@@ -417,13 +390,6 @@ impl<A: Propagate> DynForest<A> {
         if p == NONE {
             return Err(EditError::AlreadyRoot { node: v });
         }
-        let kids = &mut self.children[p as usize];
-        let pos = self.child_slot[v.index()] as usize;
-        debug_assert_eq!(kids[pos], v.raw(), "child_slot tracks child lists");
-        kids.swap_remove(pos);
-        if pos < kids.len() {
-            self.child_slot[kids[pos] as usize] = pos as u32;
-        }
         self.forest.set_parent_raw(v.raw(), NONE);
         self.has_structural = true;
         self.mark_path_dirty(p);
@@ -441,20 +407,10 @@ impl<A: Propagate> DynForest<A> {
         if self.forest.root_of(parent) == child {
             return Err(EditError::WouldCycle { child, parent });
         }
-        self.child_slot[child.index()] = self.children[parent.index()].len() as u32;
-        self.children[parent.index()].push(child.raw());
         self.forest.set_parent_raw(child.raw(), parent.raw());
         self.has_structural = true;
         self.mark_path_dirty(parent.raw());
         Ok(())
-    }
-
-    /// Re-attaches a previously cut `child` under its old parent `p`
-    /// (rollback path; the link is known valid, so no checks).
-    fn relink_unchecked(&mut self, child: NodeId, p: u32) {
-        self.child_slot[child.index()] = self.children[p as usize].len() as u32;
-        self.children[p as usize].push(child.raw());
-        self.forest.set_parent_raw(child.raw(), p);
     }
 
     /// Cuts each node in `cuts` from its parent, making it a component
@@ -467,12 +423,12 @@ impl<A: Propagate> DynForest<A> {
     /// undone and the forest shape is exactly as before the call.
     /// Dirty marks made along the way are **not** undone — they are merely
     /// conservative (the next [`DynForest::recompute`] refreshes values
-    /// that were already correct), never wrong. Rollback re-attaches via a
-    /// push, and cutting swap-removes, so a failed batch may permute
-    /// sibling order; for the commutative [`Algebra`](crate::Algebra)
-    /// contract this is unobservable, but ordered algebras (see
-    /// [`OrderedRake`](crate::OrderedRake)) should treat structural edits
-    /// as order-perturbing in general.
+    /// that were already correct), never wrong. Rollback only resets parent
+    /// pointers, and children are ordered by id, so sibling order after a
+    /// failed batch — or after cutting a node and linking it back under its
+    /// old parent — is exactly what it was; ordered algebras (see
+    /// [`OrderedRake`](crate::OrderedRake)) read the same child order as
+    /// [`Forest::sequential_fold`].
     pub fn try_batch_cut(&mut self, cuts: &[NodeId]) -> Result<(), EditError> {
         let mark_start = self.profile.as_ref().map(|_| Instant::now());
         let mut applied: Vec<(NodeId, u32)> = Vec::with_capacity(cuts.len());
@@ -480,8 +436,9 @@ impl<A: Propagate> DynForest<A> {
             match self.cut_one(v) {
                 Ok(p) => applied.push((v, p)),
                 Err(e) => {
+                    // Re-attaching a node we just cut is known valid.
                     for &(child, p) in applied.iter().rev() {
-                        self.relink_unchecked(child, p);
+                        self.forest.set_parent_raw(child.raw(), p);
                     }
                     self.record_dirty_mark(mark_start);
                     return Err(e);
@@ -518,7 +475,9 @@ impl<A: Propagate> DynForest<A> {
     /// ([`EditError::UnknownNode`], [`EditError::NotARoot`] or
     /// [`EditError::WouldCycle`]) every already-applied link is undone and
     /// the forest shape is exactly as before the call; dirty marks are not
-    /// undone (conservative, never wrong).
+    /// undone (conservative, never wrong). A linked child takes the
+    /// sibling slot its id gives it among `parent`'s children, wherever the
+    /// batch placed it.
     pub fn try_batch_link(&mut self, links: &[(NodeId, NodeId)]) -> Result<(), EditError> {
         let mark_start = self.profile.as_ref().map(|_| Instant::now());
         let mut applied: Vec<NodeId> = Vec::with_capacity(links.len());
@@ -526,10 +485,10 @@ impl<A: Propagate> DynForest<A> {
             match self.link_one(child, parent) {
                 Ok(()) => applied.push(child),
                 Err(e) => {
+                    // The links already marked their paths; undoing one
+                    // only clears the parent pointer it set.
                     for &child in applied.iter().rev() {
-                        self.cut_one(child)
-                            // lint:allow(panic): rollback of a link we just applied cannot fail
-                            .expect("applied link has a parent to cut");
+                        self.forest.set_parent_raw(child.raw(), NONE);
                     }
                     self.record_dirty_mark(mark_start);
                     return Err(e);
@@ -578,11 +537,9 @@ impl<A: Propagate> DynForest<A> {
     /// engine counters.
     fn rebuild_replay(&mut self) -> (u32, EngineCounters) {
         let n = self.forest.len();
-        self.seed = splitmix64(self.seed);
         let DynForest {
             alg,
             forest,
-            children,
             scratch,
             replay,
             seed,
@@ -590,43 +547,33 @@ impl<A: Propagate> DynForest<A> {
             ..
         } = self;
         scratch.seed_full(alg, forest);
-        // Cuts and links permute child lists away from id order; ordered
-        // algebras absorb children at their actual list position.
-        for kids in children.iter() {
-            for (i, &c) in kids.iter().enumerate() {
-                scratch.sib[c as usize] = i as u32;
-            }
-        }
         let active: Vec<u32> = (0..n as u32).collect();
         let outcome = match profile {
             Some(p) => scratch.contract_with(alg, &active, *seed, p.as_mut()),
             None => scratch.contract_with(alg, &active, *seed, &mut NoopSink),
         };
-        replay.rebuild(alg, children, scratch);
+        replay.rebuild(alg, forest, scratch);
         (outcome.rounds, outcome.counters)
     }
 
     /// Clears all pending edit marks.
     fn clear_dirty(&mut self) {
-        let DynForest {
-            dirty, dirty_list, ..
-        } = self;
-        for &u in dirty_list.iter() {
-            dirty[u as usize] = false;
+        for &u in &self.dirty_list {
+            self.dirty[u as usize] = false;
         }
-        dirty_list.clear();
+        self.dirty_list.clear();
     }
 
     /// Refreshes all values invalidated by pending edits.
     ///
     /// Label-only batches replay the recorded trace by change propagation
     /// (`O(affected × log)`; see the module docs). Batches containing a
-    /// cut or link — or any batch when
-    /// [`DynForest::set_propagation`]`(false)` is in effect — re-contract
-    /// the dirty set instead, with clean children entering as pre-resolved
-    /// constants; a structural batch also invalidates the replay tables,
-    /// and the next label-only recompute re-anchors on one fresh full
-    /// contraction before propagating again.
+    /// cut or link re-contract the dirty set instead, with clean children
+    /// entering as pre-resolved constants, after one `O(n)` pass that
+    /// derives the child lists from the parent pointers; a structural
+    /// batch also invalidates the replay tables, and the next label-only
+    /// recompute re-anchors on one fresh full contraction before
+    /// propagating again.
     pub fn recompute(&mut self) -> UpdateStats {
         let n = self.forest.len();
         let edited = self.dirty_list.len();
@@ -641,7 +588,7 @@ impl<A: Propagate> DynForest<A> {
             };
         }
 
-        if self.use_propagation && !self.has_structural {
+        if !self.has_structural {
             if !self.replay.valid {
                 // A structural batch invalidated the replay tables;
                 // re-anchor with one full contraction (which also folds the
@@ -662,7 +609,6 @@ impl<A: Propagate> DynForest<A> {
                 forest,
                 scratch,
                 replay,
-                dirty,
                 dirty_list,
                 profile,
                 ..
@@ -671,11 +617,8 @@ impl<A: Propagate> DynForest<A> {
                 Some(p) => replay.propagate(alg, forest, scratch, dirty_list, p.as_mut()),
                 None => replay.propagate(alg, forest, scratch, dirty_list, &mut NoopSink),
             };
-            for &u in dirty_list.iter() {
-                dirty[u as usize] = false;
-            }
-            dirty_list.clear();
-            let counters = profile.is_some().then(|| EngineCounters {
+            self.clear_dirty();
+            let counters = self.profile.is_some().then(|| EngineCounters {
                 rounds: outcome.rounds,
                 replayed_slots: outcome.replayed as u64,
                 reused_slots: (n - outcome.replayed) as u64,
@@ -702,12 +645,10 @@ impl<A: Propagate> DynForest<A> {
                 self.mark_path_dirty(p);
             }
         }
-        self.seed = splitmix64(self.seed);
 
         let DynForest {
             alg,
             forest,
-            children,
             dirty,
             dirty_list,
             has_structural,
@@ -718,6 +659,7 @@ impl<A: Propagate> DynForest<A> {
             ..
         } = self;
 
+        let children = forest.child_csr();
         for &u in dirty_list.iter() {
             let ui = u as usize;
             let p = forest.parent_raw(u);
@@ -728,11 +670,11 @@ impl<A: Propagate> DynForest<A> {
             scratch.par[ui] = p;
             let mut acc = alg.init_acc(forest.label(NodeId(u)));
             let mut live_children = 0u32;
-            for (i, &c) in children[ui].iter().enumerate() {
+            for (i, &c) in children.of(u).iter().enumerate() {
                 if dirty[c as usize] {
                     live_children += 1;
                     // The dirty child will rake in later; hand it its
-                    // child-list slot so ordered algebras absorb it at the
+                    // id-order slot so ordered algebras absorb it at the
                     // right position.
                     scratch.sib[c as usize] = i as u32;
                 } else {
@@ -762,21 +704,16 @@ impl<A: Propagate> DynForest<A> {
         // one re-anchor, not one per batch.
         replay.valid = false;
         *has_structural = false;
-
         let recomputed = dirty_list.len();
-        let stats = UpdateStats {
+        self.clear_dirty();
+        UpdateStats {
             dirty: recomputed,
             total: n,
             rounds: outcome.rounds,
             replayed_slots: recomputed,
             reused_slots: n - recomputed,
-            counters: profile.is_some().then_some(outcome.counters),
-        };
-        for &u in dirty_list.iter() {
-            dirty[u as usize] = false;
+            counters: self.profile.is_some().then_some(outcome.counters),
         }
-        dirty_list.clear();
-        stats
     }
 
     /// Resolves a [`QueryBatch`] against the current forest shape.
@@ -831,11 +768,9 @@ impl<A: Propagate> DynForest<A> {
     /// Verifies the structural invariants of the dynamic layer
     /// (`check` feature):
     ///
-    /// * the underlying arena is well-formed ([`Forest::validate`]);
-    /// * **parent/child symmetry** — the derived adjacency is exact: every
-    ///   entry of `children[p]` names a node whose parent pointer is `p`
-    ///   and whose `child_slot` is its list position, each node appears in
-    ///   at most one child list, and the lists cover every non-root;
+    /// * the underlying arena is well-formed ([`Forest::validate`]) — its
+    ///   parent pointers are the only stored shape, so there is no second
+    ///   copy to keep symmetric;
     /// * **edit-mark coherence** — `dirty_list` is a duplicate-free
     ///   enumeration of exactly the flagged nodes. (Edit marks are *not*
     ///   upward-closed: label edits mark only the edited node, and change
@@ -855,39 +790,8 @@ impl<A: Propagate> DynForest<A> {
         self.forest.validate()?;
         let n = self.forest.len();
         ensure!(
-            self.children.len() == n && self.child_slot.len() == n && self.dirty.len() == n,
-            "dynamic side tables are not sized to the forest ({n} nodes)"
-        );
-
-        let mut listed = vec![false; n];
-        let mut total_children = 0usize;
-        for (p, kids) in self.children.iter().enumerate() {
-            for (i, &c) in kids.iter().enumerate() {
-                ensure!(
-                    (c as usize) < n,
-                    "children[n{p}] contains out-of-range node {c}"
-                );
-                ensure!(!listed[c as usize], "node n{c} appears in two child lists");
-                listed[c as usize] = true;
-                ensure!(
-                    self.forest.parent_raw(c) == p as u32,
-                    "children[n{p}] lists n{c}, whose parent pointer is {}",
-                    self.forest.parent_raw(c)
-                );
-                ensure!(
-                    self.child_slot[c as usize] == i as u32,
-                    "child_slot[n{c}] = {} but n{c} sits at position {i} of n{p}'s child list",
-                    self.child_slot[c as usize]
-                );
-                total_children += 1;
-            }
-        }
-        let non_roots = (0..n as u32)
-            .filter(|&v| self.forest.parent_raw(v) != NONE)
-            .count();
-        ensure!(
-            total_children == non_roots,
-            "child lists hold {total_children} nodes but the forest has {non_roots} non-roots"
+            self.dirty.len() == n,
+            "dirty flags are not sized to the forest ({n} nodes)"
         );
 
         let mut in_list = vec![false; n];
@@ -938,7 +842,7 @@ impl<A: Propagate> DynForest<A> {
         let c = self
             .forest
             .contraction()
-            .seed(splitmix64(!self.seed))
+            .seed(crate::rng::splitmix64(!self.seed))
             .run(&self.alg);
         for v in 0..self.forest.len() as u32 {
             let got = resolve_val(&self.alg, &self.scratch.death, v);
@@ -965,12 +869,9 @@ impl<A: Propagate> Clone for DynForest<A> {
         DynForest {
             alg: self.alg.clone(),
             forest: self.forest.clone(),
-            children: self.children.clone(),
-            child_slot: self.child_slot.clone(),
             dirty: self.dirty.clone(),
             dirty_list: self.dirty_list.clone(),
             has_structural: self.has_structural,
-            use_propagation: self.use_propagation,
             // The scratch carries the live trace and the replay tables
             // index into it, so both clone — a cloned forest is
             // immediately ready to propagate (benchmarks rely on this).
@@ -1030,13 +931,49 @@ mod tests {
             "re-anchor drops the old shape"
         );
         assert!(d.clone().stored_view().is_some(), "clones keep the trace");
+    }
 
-        d.set_propagation(false);
-        d.batch_update_weights(&[(b, 4)]);
+    #[test]
+    fn stored_trace_is_a_fresh_contraction_under_the_construction_seed() {
+        fn assert_fresh(d: &DynForest<MinMax>, when: &str) {
+            let view = d
+                .stored_view()
+                .unwrap_or_else(|| panic!("{when}: no trace"));
+            let c = d.forest().contraction().seed(d.seed).run(&MinMax);
+            let death_round: Vec<u32> = d.forest().node_ids().map(|v| c.death_round(v)).collect();
+            assert_eq!(view.up, c.up.as_slice(), "{when}: up");
+            assert_eq!(
+                view.death_round,
+                death_round.as_slice(),
+                "{when}: death rounds"
+            );
+            assert_eq!(view.hop_off, c.hop_off.as_slice(), "{when}: hop offsets");
+            assert_eq!(
+                view.hop_victims,
+                c.hop_victims.as_slice(),
+                "{when}: hop victims"
+            );
+        }
+
+        let mut d = DynForest::new(gen::random_tree(3_000, 21), MinMax);
+        let seed = d.seed;
+        assert_fresh(&d, "after new");
+
+        let v = NodeId(1_500);
+        let old = d.forest().parent(v).expect("n1500 is not a root");
+        d.batch_cut(&[v]);
         d.recompute();
-        assert!(
-            d.stored_view().is_none(),
-            "a legacy label recompute leaves a mixed-generation trace"
+        let target = d.root_of(old);
+        assert_ne!(target, old, "the link moves n1500 to a new parent");
+        d.batch_link(&[(v, target)]);
+        d.recompute();
+        d.batch_update_weights(&[(NodeId(3), 11)]);
+        let stats = d.recompute();
+        assert_eq!(
+            stats.replayed_slots, stats.total,
+            "the label batch re-anchors"
         );
+        assert_eq!(d.seed, seed, "recomputes keep the construction seed");
+        assert_fresh(&d, "after the re-anchor");
     }
 }

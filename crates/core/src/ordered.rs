@@ -8,8 +8,9 @@
 //! keeps contiguous runs of already-absorbed children, coalescing
 //! neighbours as they arrive. By the time a node finishes, the runs have
 //! merged into a single prefix, so the final value is the fold of the
-//! children **in child-list order** — preorder semantics on an engine that
-//! never promised an order.
+//! children **in child-list order** (ascending id, the one child order of
+//! every layer) — preorder semantics on an engine that never promised an
+//! order.
 //!
 //! Unary functions become two-sided sandwiches `x ↦ pre ⊕ x ⊕ post`, which
 //! are closed under composition for any monoid, so compress works
@@ -19,7 +20,7 @@
 //! preorder label sequence — deliberately non-commutative, which makes it a
 //! sharp oracle test for the sibling-index plumbing.
 
-use crate::algebra::{Algebra, Propagate};
+use crate::algebra::{Algebra, PathAlgebra, Propagate};
 use crate::rng::splitmix64;
 
 /// An associative (not necessarily commutative) monoid over sequences of
@@ -73,7 +74,7 @@ pub struct Sandwich<E> {
 
 /// Adapter turning any [`SeqMonoid`] into an [`Algebra`] with **preorder**
 /// semantics: `val(v) = lift(label(v)) ⊕ val(c₀) ⊕ … ⊕ val(cₖ)` with the
-/// children in child-list order.
+/// children in ascending id order, before and after any cuts and links.
 ///
 /// ```
 /// use dtc_core::{Forest, OrderedRake, SeqHash};
@@ -243,6 +244,26 @@ impl<M: SeqMonoid> Propagate for OrderedRake<M> {
         for r in &part.0 {
             self.insert_run(&mut acc.runs, r.start, r.end, r.val.clone());
         }
+    }
+}
+
+/// Hop count: path segments are joined out of order (two root-ward climbs
+/// meeting at the LCA), so the non-commutative sequence monoid cannot be
+/// the path aggregate; as for [`ExprEval`](crate::ExprEval), a path
+/// query reports the number of nodes on the path.
+impl<M: SeqMonoid> PathAlgebra for OrderedRake<M> {
+    type PathVal = u64;
+
+    fn path_of(&self, _label: &M::Label) -> u64 {
+        1
+    }
+
+    fn path_empty(&self) -> u64 {
+        0
+    }
+
+    fn path_concat(&self, a: &u64, b: &u64) -> u64 {
+        a + b
     }
 }
 

@@ -190,10 +190,13 @@ impl<A: Propagate> Replay<A> {
     }
 
     /// Rebuilds every table from `scratch`, which must hold the completed
-    /// trace of a **full** contraction (every node in the active set).
-    /// `O(n + trace)` using one backsolve sweep for child values.
-    pub fn rebuild(&mut self, alg: &A, children: &[Vec<u32>], scratch: &Scratch<A>) {
-        let n = children.len();
+    /// trace of a **full** contraction of `forest` (every node in the
+    /// active set). Child slots follow [`Forest::child_csr`], the id order
+    /// the engine seeded. `O(n + trace)` using one backsolve sweep for
+    /// child values.
+    pub fn rebuild(&mut self, alg: &A, forest: &Forest<A::Label>, scratch: &Scratch<A>) {
+        let n = forest.len();
+        let children = forest.child_csr();
         self.affected.clear();
         self.affected.resize(n, false);
         self.refold.clear();
@@ -219,10 +222,10 @@ impl<A: Propagate> Replay<A> {
         };
         self.kids = if A::INVERTIBLE {
             let mut parts = Vec::with_capacity(n);
-            for (p, kids) in children.iter().enumerate() {
+            for p in 0..n {
                 let gap = gap_of(p);
                 let mut part = alg.part_empty();
-                for (i, &c) in kids.iter().enumerate() {
+                for (i, &c) in children.of(p as u32).iter().enumerate() {
                     if gap == Some(i as u32) {
                         continue;
                     }
@@ -234,9 +237,10 @@ impl<A: Propagate> Replay<A> {
             Kids::Flat(parts)
         } else {
             let mut trees = Vec::with_capacity(n);
-            for (p, kids) in children.iter().enumerate() {
+            for p in 0..n {
                 let gap = gap_of(p);
-                let leaves: Vec<A::Part> = kids
+                let leaves: Vec<A::Part> = children
+                    .of(p as u32)
                     .iter()
                     .enumerate()
                     .map(|(i, &c)| {

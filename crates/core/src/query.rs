@@ -66,7 +66,7 @@
 //! ```
 
 use crate::algebra::{Algebra, PathAlgebra};
-use crate::arena::{Forest, NONE};
+use crate::arena::{Euler, Forest, NONE};
 use crate::contract::Contraction;
 use crate::engine::Death;
 use crate::propagate::resolve_val;
@@ -312,12 +312,8 @@ impl<'a, A: Algebra> TraceView<'a, A> {
 /// later batch only pays for [`build_ctx`].
 #[derive(Clone)]
 pub(crate) struct Shape {
-    /// Euler entry time (ancestor tests in O(1)).
-    tin: Vec<u32>,
-    /// Euler exit time.
-    tout: Vec<u32>,
-    /// Component root of every node.
-    root: Vec<u32>,
+    /// Euler intervals and component roots of the forest.
+    euler: Euler,
     /// For every victim, the node whose hop list holds it (`NONE` for
     /// nodes that were never spliced out).
     host: Vec<u32>,
@@ -331,55 +327,6 @@ impl Shape {
     /// order from `t`.
     pub(crate) fn build<A: Algebra>(forest: &Forest<A::Label>, t: &TraceView<'_, A>) -> Shape {
         let n = forest.len();
-        // Child lists in flat CSR form (one allocation, children in id
-        // order — the same order `Forest::build_children` derives).
-        let mut kid_off = vec![0u32; n + 1];
-        for v in 0..n as u32 {
-            let p = forest.parent(NodeId(v));
-            if let Some(p) = p {
-                kid_off[p.index() + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            kid_off[i + 1] += kid_off[i];
-        }
-        let mut cursor = kid_off.clone();
-        let mut kids = vec![0u32; n.saturating_sub(forest.roots().count())];
-        for v in 0..n as u32 {
-            if let Some(p) = forest.parent(NodeId(v)) {
-                kids[cursor[p.index()] as usize] = v;
-                cursor[p.index()] += 1;
-            }
-        }
-
-        let mut tin = vec![0u32; n];
-        let mut tout = vec![0u32; n];
-        let mut root = vec![0u32; n];
-        let mut clock = 0u32;
-        let mut stack: Vec<(u32, u32)> = Vec::new();
-        for r in forest.roots() {
-            let rr = r.raw();
-            tin[rr as usize] = clock;
-            clock += 1;
-            root[rr as usize] = rr;
-            stack.push((rr, kid_off[rr as usize]));
-            while let Some((u, ci)) = stack.last_mut() {
-                let u = *u;
-                if *ci < kid_off[u as usize + 1] {
-                    let k = kids[*ci as usize];
-                    *ci += 1;
-                    tin[k as usize] = clock;
-                    clock += 1;
-                    root[k as usize] = rr;
-                    stack.push((k, kid_off[k as usize]));
-                } else {
-                    tout[u as usize] = clock;
-                    clock += 1;
-                    stack.pop();
-                }
-            }
-        }
-
         let mut host = vec![NONE; n];
         for x in 0..n as u32 {
             let (lo, hi) = t.hop(x);
@@ -405,9 +352,7 @@ impl Shape {
         }
 
         let shape = Shape {
-            tin,
-            tout,
-            root,
+            euler: forest.euler(),
             host,
             order,
         };
@@ -416,13 +361,6 @@ impl Shape {
             crate::check::invariant!(false, "{}", e.message());
         }
         shape
-    }
-
-    /// `true` iff `a` is an ancestor of `b` (or equal).
-    #[inline]
-    fn is_anc(&self, a: u32, b: u32) -> bool {
-        self.tin[a as usize] <= self.tin[b as usize]
-            && self.tout[b as usize] <= self.tout[a as usize]
     }
 
     /// Euler-interval nesting sweep (`check` feature): the intervals are
@@ -438,20 +376,21 @@ impl Shape {
         use crate::check::ensure;
         let n = forest.len();
         ensure!(
-            self.tin.len() == n && self.tout.len() == n && self.root.len() == n,
+            self.euler.tin.len() == n && self.euler.tout.len() == n && self.euler.root.len() == n,
             "Euler intervals are not sized to the forest ({n} nodes)"
         );
         for v in 0..n as u32 {
             let vi = v as usize;
             ensure!(
-                self.tin[vi] < self.tout[vi],
+                self.euler.tin[vi] < self.euler.tout[vi],
                 "Euler interval of n{v} is empty or inverted"
             );
             let p = forest.parent_raw(v);
             if p != NONE {
                 let pi = p as usize;
                 ensure!(
-                    self.tin[pi] < self.tin[vi] && self.tout[vi] < self.tout[pi],
+                    self.euler.tin[pi] < self.euler.tin[vi]
+                        && self.euler.tout[vi] < self.euler.tout[pi],
                     "Euler interval of n{v} is not nested inside its parent n{p}"
                 );
             }
@@ -512,20 +451,20 @@ fn build_ctx<'s, A: PathAlgebra>(
 /// moves to a strictly earlier death round, bounding the depth by the
 /// round count.
 fn lca_raw<A: Algebra>(t: &TraceView<'_, A>, s: &Shape, u: u32, v: u32) -> Option<u32> {
-    if s.root[u as usize] != s.root[v as usize] {
+    if s.euler.root[u as usize] != s.euler.root[v as usize] {
         return None;
     }
-    if s.is_anc(u, v) {
+    if s.euler.is_anc(u, v) {
         return Some(u);
     }
-    if s.is_anc(v, u) {
+    if s.euler.is_anc(v, u) {
         return Some(v);
     }
     let mut x = u;
     let mut fallback = loop {
         let nxt = t.up[x as usize];
         debug_assert!(nxt != NONE, "climb passed the component root");
-        if s.is_anc(nxt, v) {
+        if s.euler.is_anc(nxt, v) {
             break nxt;
         }
         x = nxt;
@@ -534,7 +473,7 @@ fn lca_raw<A: Algebra>(t: &TraceView<'_, A>, s: &Shape, u: u32, v: u32) -> Optio
     loop {
         let (lo, hi) = t.hop(x);
         let seg = &t.hop_victims[lo..hi];
-        let idx = seg.partition_point(|&vt| !s.is_anc(vt, v));
+        let idx = seg.partition_point(|&vt| !s.euler.is_anc(vt, v));
         if idx == 0 {
             // Nothing lies strictly between a node and its first victim
             // (resp. its shortcut parent, when the list is empty).
@@ -580,7 +519,7 @@ fn seg_to_excl<A: PathAlgebra>(
             }
             return Some(acc);
         }
-        if s.is_anc(nxt, w) {
+        if s.euler.is_anc(nxt, w) {
             // `w` sits strictly inside gap(x): stop climbing and descend.
             break;
         }
@@ -596,7 +535,7 @@ fn seg_to_excl<A: PathAlgebra>(
         let (lo, hi) = t.hop(x);
         let seg = &t.hop_victims[lo..hi];
         // Victims strictly below `w` (deeper ⇒ larger tin on a chain).
-        let idx = seg.partition_point(|&vt| s.tin[vt as usize] > s.tin[w as usize]);
+        let idx = seg.partition_point(|&vt| s.euler.tin[vt as usize] > s.euler.tin[w as usize]);
         if idx < seg.len() && seg[idx] == w {
             // Everything below `w` in this gap: the closed prefix.
             if idx > 0 {
@@ -639,11 +578,11 @@ fn resolve_one<A: PathAlgebra>(
         }
         Query::ComponentRoot(v) => {
             let v = check(v)?;
-            Ok(Answer::Node(NodeId(s.root[v as usize])))
+            Ok(Answer::Node(NodeId(s.euler.root[v as usize])))
         }
         Query::ComponentValue(v) => {
             let v = check(v)?;
-            Ok(Answer::Value(t.val(alg, s.root[v as usize])))
+            Ok(Answer::Value(t.val(alg, s.euler.root[v as usize])))
         }
         Query::Lca(u, v) => {
             let (u, v) = (check(u)?, check(v)?);

@@ -145,17 +145,20 @@ fn dynamic_counters_match_dirty_set_per_recompute() {
         assert_eq!(prof.phase_stats(Phase::Backsolve).spans(), 0);
     }
 
-    // The legacy dirty-set path keeps the engine-run counter semantics.
-    d.set_propagation(false);
-    let updates: Vec<(NodeId, i64)> = d
+    // A structural batch takes the legacy dirty-set path, which keeps the
+    // engine-run counter semantics.
+    let moved: Vec<(NodeId, NodeId)> = d
         .forest()
         .node_ids()
         .step_by(37)
+        .filter_map(|v| Some((v, d.forest().parent(v)?)))
         .take(50)
-        .map(|v| (v, 9))
         .collect();
-    d.batch_update_weights(&updates);
+    let cuts: Vec<NodeId> = moved.iter().map(|&(v, _)| v).collect();
+    d.batch_cut(&cuts);
+    d.batch_link(&moved);
     let stats = d.recompute();
+    assert_eq!(stats.replayed_slots + stats.reused_slots, stats.total);
     let counters = stats.counters.expect("profiling fills counters");
     assert_eq!(
         counters.retired(),

@@ -1,6 +1,7 @@
 //! Differential tests for change propagation: the trace-replay path must
-//! produce exactly the values of the legacy dirty-set re-contraction (and
-//! of the sequential oracle) over long random edit scripts, across the
+//! produce exactly the values of the sequential oracle (and, with the
+//! `check` feature, of a fresh full contraction via
+//! `DynForest::validate_values`) over long random edit scripts, across the
 //! whole shape zoo, for invertible and non-invertible algebras alike.
 
 use dtc_core::gen::{self, ChurnOp, XorShift64};
@@ -29,9 +30,8 @@ fn shape_zoo(n: usize, seed: u64) -> Vec<(String, Forest<i64>)> {
     ]
 }
 
-/// Applies the same label-edit script to a propagating forest and a
-/// legacy-path twin, checking both against each other and the oracle
-/// after every batch.
+/// Applies a label-edit script to a propagating forest, checking it
+/// against the oracle (and a fresh contraction) after every batch.
 fn diff_label_script<A>(name: &str, forest: Forest<A::Label>, alg: A, edits: usize, seed: u64)
 where
     A: Propagate<Label = i64>,
@@ -39,10 +39,7 @@ where
 {
     let n = forest.len();
     let mut rng = XorShift64::new(seed);
-    let mut fast = DynForest::with_seed(forest, alg.clone(), 0xFA57);
-    let mut slow = fast.clone();
-    slow.set_propagation(false);
-    assert!(fast.propagation_enabled() && !slow.propagation_enabled());
+    let mut d = DynForest::with_seed(forest, alg.clone(), 0xFA57);
 
     let mut done = 0usize;
     while done < edits {
@@ -56,53 +53,49 @@ where
             })
             .collect();
         done += updates.len();
-        fast.batch_update_weights(&updates);
-        slow.batch_update_weights(&updates);
-        let fstats = fast.recompute();
-        let sstats = slow.recompute();
+        d.batch_update_weights(&updates);
+        let stats = d.recompute();
         assert_eq!(
-            fstats.replayed_slots + fstats.reused_slots,
-            fstats.total,
+            stats.replayed_slots + stats.reused_slots,
+            stats.total,
             "{name}: replay stats must partition the trace"
         );
-        assert_eq!(
-            sstats.replayed_slots + sstats.reused_slots,
-            sstats.total,
-            "{name}: legacy stats must partition the trace"
-        );
-        let oracle = fast.forest().sequential_fold(&alg);
-        for v in fast.forest().node_ids() {
-            let f = fast.subtree_value(v);
-            assert_eq!(f, slow.subtree_value(v), "{name}: paths diverge at {v}");
-            assert_eq!(f, oracle[v.index()], "{name}: oracle mismatch at {v}");
+        #[cfg(feature = "check")]
+        d.validate_values()
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let oracle = d.forest().sequential_fold(&alg);
+        for v in d.forest().node_ids() {
+            assert_eq!(
+                d.subtree_value(v),
+                oracle[v.index()],
+                "{name}: oracle mismatch at {v}"
+            );
         }
     }
 }
 
 #[test]
-fn propagation_matches_legacy_across_shape_zoo() {
+fn propagation_matches_oracle_across_shape_zoo() {
     for (name, f) in shape_zoo(600, 0xD1FF) {
         diff_label_script(&name, f, SubtreeSum, 120, 0x5C41A7);
     }
 }
 
 #[test]
-fn propagation_matches_legacy_for_noninvertible_minmax() {
+fn propagation_matches_oracle_for_noninvertible_minmax() {
     for (name, f) in shape_zoo(400, 0x3A11) {
         diff_label_script(&name, f, MinMax, 80, 0xBEEF);
     }
 }
 
 #[test]
-fn propagation_matches_legacy_for_expressions() {
+fn propagation_matches_oracle_for_expressions() {
     let f = gen::random_expr(2_000, 9);
     let leaves: Vec<NodeId> = f
         .node_ids()
         .filter(|&v| matches!(f.label(v), ExprLabel::Leaf(_)))
         .collect();
-    let mut fast = DynForest::with_seed(f, ExprEval, 0xE4);
-    let mut slow = fast.clone();
-    slow.set_propagation(false);
+    let mut d = DynForest::with_seed(f, ExprEval, 0xE4);
 
     let mut rng = XorShift64::new(0xAB);
     for _ in 0..40 {
@@ -112,15 +105,17 @@ fn propagation_matches_legacy_for_expressions() {
                 (v, ExprLabel::Leaf(rng.below(7) as i64 - 3))
             })
             .collect();
-        fast.batch_update_weights(&updates);
-        slow.batch_update_weights(&updates);
-        fast.recompute();
-        slow.recompute();
-        let oracle = fast.forest().sequential_fold(&ExprEval);
-        for v in fast.forest().node_ids() {
-            let got = fast.subtree_value(v);
-            assert_eq!(got, slow.subtree_value(v), "expr paths diverge at {v}");
-            assert_eq!(got, oracle[v.index()], "expr oracle mismatch at {v}");
+        d.batch_update_weights(&updates);
+        d.recompute();
+        #[cfg(feature = "check")]
+        d.validate_values().unwrap();
+        let oracle = d.forest().sequential_fold(&ExprEval);
+        for v in d.forest().node_ids() {
+            assert_eq!(
+                d.subtree_value(v),
+                oracle[v.index()],
+                "expr oracle mismatch at {v}"
+            );
         }
     }
 }

@@ -473,10 +473,34 @@ fn ordered_rake_matches_sequential_fold_on_all_shapes() {
     }
 }
 
+/// Every subtree value equals the oracle's, and a query batch over the
+/// maintained forest equals one over a fresh contraction.
+fn assert_ordered_exact(d: &DynForest<OrderedRake<SeqHash>>, what: &str) {
+    let oracle = d.forest().sequential_fold(&OrderedRake(SeqHash));
+    for v in d.forest().node_ids() {
+        assert_eq!(d.subtree_value(v), oracle[v.index()], "{what}: {v}");
+    }
+    let mut batch = QueryBatch::new();
+    let n = d.len();
+    for i in (0..n).step_by(7) {
+        let (u, v) = (NodeId::from_index(i), NodeId::from_index(n - 1 - i));
+        batch.subtree(u).component_value(u).path(u, v).lca(u, v);
+    }
+    let fresh = d.forest().contraction().run(&OrderedRake(SeqHash));
+    assert_eq!(
+        d.query_batch(&batch).unwrap(),
+        fresh
+            .query_batch(d.forest(), &OrderedRake(SeqHash), &batch)
+            .unwrap(),
+        "{what}: query batch"
+    );
+}
+
 #[test]
-fn ordered_rake_survives_dynamic_weight_updates() {
-    // Weight-only edits never perturb child-list order, so the ordered
-    // semantics stay oracle-exact under incremental recomputes.
+fn ordered_rake_survives_dynamic_edits() {
+    // Children are absorbed in id order whatever order the edits arrived
+    // in, so the ordered semantics stay oracle-exact under label edits,
+    // cuts, relinks under the old parent and links under a new one.
     let alg = OrderedRake(SeqHash);
     let mut d = DynForest::new(gen::random_tree(3_000, 55), alg);
     let mut rng = 0xBEEF_u64;
@@ -490,10 +514,34 @@ fn ordered_rake_survives_dynamic_weight_updates() {
             .collect();
         d.batch_update_weights(&updates);
         d.recompute();
-        let oracle = d.forest().sequential_fold(&OrderedRake(SeqHash));
-        for v in d.forest().node_ids() {
-            assert_eq!(d.subtree_value(v), oracle[v.index()], "round {round}");
+        assert_ordered_exact(&d, &format!("round {round}, labels"));
+
+        let mut moved: Vec<(NodeId, NodeId)> = Vec::new();
+        while moved.len() < 12 {
+            let v = NodeId::from_index((xorshift(&mut rng) % n as u64) as usize);
+            if let Some(p) = d.forest().parent(v) {
+                if moved.iter().all(|&(u, _)| u != v) {
+                    moved.push((v, p));
+                }
+            }
         }
+        let cuts: Vec<NodeId> = moved.iter().map(|&(v, _)| v).collect();
+        d.batch_cut(&cuts);
+        d.recompute();
+        assert_ordered_exact(&d, &format!("round {round}, cuts"));
+
+        // Half go back under their old parent, which restores that part
+        // of the shape exactly; the rest move under a node outside their
+        // own subtree.
+        for (i, &(v, old)) in moved.iter().enumerate() {
+            let mut parent = old;
+            while i % 2 == 1 && (parent == old || d.root_of(parent) == v) {
+                parent = NodeId::from_index((xorshift(&mut rng) % n as u64) as usize);
+            }
+            d.batch_link(&[(v, parent)]);
+        }
+        d.recompute();
+        assert_ordered_exact(&d, &format!("round {round}, links"));
     }
 }
 

@@ -9,6 +9,9 @@
 //!    provably-unreachable sites use the crate's `invariant!` macro or
 //!    carry an explicit `lint:allow(panic): <reason>` marker on the same
 //!    or previous line. Test modules (`#[cfg(test)]` tails) are exempt.
+//!    The markers themselves are rationed: their count across
+//!    `crates/core/src` may not exceed [`PANIC_ALLOW_CEILING`], a ratchet
+//!    that only moves down.
 //! 2. **serial engine** (`thread` rule): `dtc-core` library code must not
 //!    name `std::thread`. The engine is serial by design; a parallel
 //!    engine is a deliberate redesign that starts by changing this rule.
@@ -79,6 +82,7 @@ fn lint() -> ExitCode {
 
     let mut findings = Vec::new();
     let core_src = root.join("crates/core/src");
+    let mut panic_allows = 0;
     for file in rust_files(&core_src) {
         let Ok(text) = fs::read_to_string(&file) else {
             findings.push(Finding {
@@ -90,10 +94,12 @@ fn lint() -> ExitCode {
             continue;
         };
         let rel = file.strip_prefix(&root).unwrap_or(&file).to_path_buf();
+        panic_allows += count_panic_allows(&text);
         lint_panics(&rel, &text, &mut findings);
         lint_threads(&rel, &text, &mut findings);
         lint_obs_gating(&rel, &text, &mut findings);
     }
+    lint_panic_budget(panic_allows, PANIC_ALLOW_CEILING, &mut findings);
 
     for crate_dir in crate_dirs(&root) {
         lint_feature_hygiene(&root, &crate_dir, &mut findings);
@@ -210,6 +216,33 @@ fn lint_panics(file: &Path, text: &str, findings: &mut Vec<Finding>) {
                 });
             }
         }
+    }
+}
+
+/// Most `lint:allow(panic)` markers `crates/core/src` may carry. Lower it
+/// whenever a change removes markers; a new marker has to retire an old
+/// one first.
+const PANIC_ALLOW_CEILING: usize = 11;
+
+/// Lines of `text` carrying a `lint:allow(panic)` marker.
+fn count_panic_allows(text: &str) -> usize {
+    text.lines()
+        .filter(|&l| allow_marker(l) == Some("panic"))
+        .count()
+}
+
+/// Flags a `crates/core/src` marker count above the ratchet `ceiling`.
+fn lint_panic_budget(count: usize, ceiling: usize, findings: &mut Vec<Finding>) {
+    if count > ceiling {
+        findings.push(Finding {
+            file: PathBuf::from("crates/core/src"),
+            line: 0,
+            rule: "panic",
+            msg: format!(
+                "{count} `lint:allow(panic)` markers exceed the ceiling of {ceiling}; \
+                 remove a marker rather than raise PANIC_ALLOW_CEILING"
+            ),
+        });
     }
 }
 
@@ -373,6 +406,24 @@ mod tests {
         lint_panics(Path::new("x.rs"), src, &mut findings);
         assert_eq!(findings.len(), 1, "{findings:#?}");
         assert_eq!(findings[0].line, 2);
+    }
+
+    #[test]
+    fn panic_budget_flags_markers_over_the_ceiling() {
+        let src = "a(); // lint:allow(panic): one\n\
+                   // lint:allow(panic): two\n\
+                   b();\n\
+                   // lint:allow(thread): not counted\n";
+        let count = count_panic_allows(src);
+        assert_eq!(count, 2);
+        let mut findings = Vec::new();
+        lint_panic_budget(count, 2, &mut findings);
+        assert!(findings.is_empty(), "at the ceiling is fine: {findings:#?}");
+        lint_panic_budget(count, 1, &mut findings);
+        assert_eq!(findings.len(), 1, "{findings:#?}");
+        assert!(findings[0]
+            .msg
+            .contains("2 `lint:allow(panic)` markers exceed the ceiling of 1"));
     }
 
     #[test]
