@@ -6,9 +6,10 @@
 //! `binary` (balanced), `broom` (deep handle into a high-degree head).
 //! Each shape is exercised three ways: full contraction, a 1k batch of
 //! cuts, and a 1k batch of weight updates (the latter driven by change
-//! propagation — its records carry `replayed_slots`/`reused_slots`). A
-//! churn bench interleaves structural and label edits to price the
-//! fallback/re-anchor cycle.
+//! propagation — its records carry `replayed_slots`/`reused_slots`). A cut
+//! batch recomputes by one full contraction of the new shape. A churn bench
+//! interleaves structural and label edits to price the contraction/re-anchor
+//! cycle.
 //!
 //! Run with `cargo bench -p dtc-bench`, or `cargo bench -p dtc-bench --
 //! --test` for the CI smoke mode (each bench executes once). Add
@@ -121,9 +122,9 @@ fn main() {
     }
 
     // Churn: interleaved cut/link/weight batches against a ~100k random
-    // tree, pricing the structural fallback + re-anchor cycle end to end
-    // (each chunk of structural ops forces a dirty-set re-contraction, the
-    // following label-only chunk pays the one-time full re-anchor and then
+    // tree, pricing the structural contraction + re-anchor cycle end to end
+    // (each chunk with a structural op runs one full contraction, the
+    // following label-only chunk pays the one-time table rebuild and then
     // propagates).
     {
         let (f, script) = gen::churn(100_000, 512, 42);
@@ -401,7 +402,7 @@ fn attach_profile(h: &Harness, name: &str, profile: &Profile) {
 }
 
 /// Like [`attach_profile`], plus the human-readable [`UpdateStats`] line
-/// (which records the dirty-set size for the batch) and the
+/// (which records the number of edit marks for the batch) and the
 /// change-propagation slot counters (schema v2).
 fn attach_dyn_report(h: &Harness, name: &str, stats: &UpdateStats, profile: &Profile) {
     h.attach(name, "update_stats", Json::str(stats.to_string()));

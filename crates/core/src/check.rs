@@ -4,7 +4,7 @@
 //! The engine's correctness rests on a handful of structural invariants —
 //! every node dies exactly once, death rounds strictly increase along the
 //! trace's shortcut (`up[]`) pointers, the hop CSR partitions the
-//! compressed nodes, dirty sets stay upward-closed — and on the claim that
+//! compressed nodes — and on the claim that
 //! all actions planned in one rake/compress round touch **disjoint** (or
 //! commutatively-combinable) state. This module turns those proof
 //! obligations into executable checks:

@@ -3,7 +3,7 @@
 
 use crate::algebra::Algebra;
 use crate::arena::{Forest, NONE};
-use crate::engine::{Death, Scratch};
+use crate::engine::Scratch;
 use crate::obs::{NoopSink, Phase, Profile, Sink};
 use crate::query::{TraceView, Vals};
 use crate::NodeId;
@@ -11,24 +11,6 @@ use std::time::Instant;
 
 /// Default coin seed used when [`ContractOptions::seed`] is not called.
 pub(crate) const DEFAULT_SEED: u64 = 0x5EED;
-
-/// How a node was retired by the contraction — the *kind* of trace slot it
-/// occupies in the replayable contraction DAG.
-///
-/// Change propagation dispatches on this: a raked slot is re-executed by
-/// refolding the node's children and re-delivering its contribution; a
-/// compressed slot by re-composing the unary chain; a root slot by
-/// re-finishing the component value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SlotKind {
-    /// Retired as a childless non-root: folded into its parent.
-    Raked,
-    /// Spliced out of a unary chain; its value is a recorded unary
-    /// function of the surviving child.
-    Compressed,
-    /// Finished as a component root.
-    Root,
-}
 
 /// Result of contracting a whole forest: final subtree values for every
 /// node, per-component aggregates, the round-stamped trace, and the
@@ -51,8 +33,6 @@ pub struct Contraction<A: Algebra> {
     /// these are exactly the original ancestors strictly between `x` and
     /// `up[x]`.
     pub(crate) hop_victims: Vec<u32>,
-    /// How each node was retired (rake / compress / root finish).
-    kinds: Vec<SlotKind>,
     profile: Option<Box<Profile>>,
 }
 
@@ -93,12 +73,6 @@ impl<A: Algebra> Contraction<A> {
     pub fn trace_parent(&self, v: NodeId) -> Option<NodeId> {
         let p = self.up[v.index()];
         (p != NONE).then_some(NodeId(p))
-    }
-
-    /// The kind of trace slot `v` occupies in the replayable contraction
-    /// DAG: how the engine retired it.
-    pub fn slot_kind(&self, v: NodeId) -> SlotKind {
-        self.kinds[v.index()]
     }
 
     /// The nodes that were spliced out from directly above `v` — `v`'s
@@ -351,10 +325,7 @@ where
 {
     let n = forest.len();
     let mut scratch: Scratch<A> = Scratch::default();
-    scratch.seed_full(alg, forest);
-
-    let active: Vec<u32> = (0..n as u32).collect();
-    let outcome = scratch.contract_with(alg, &active, seed, sink);
+    let outcome = scratch.contract(alg, forest, seed, sink);
 
     let mut out: Vec<Option<A::Val>> = vec![None; n];
     let backsolve_start = if S::ENABLED {
@@ -368,19 +339,8 @@ where
     }
     let vals = out
         .into_iter()
-        // lint:allow(panic): the engine runs until every active node dies
+        // lint:allow(panic): the engine runs until every node dies
         .map(|v| v.expect("every node contracted"))
-        .collect();
-    let (hop_off, hop_victims) = scratch.trace_links(n);
-    let kinds = scratch.death[..n]
-        .iter()
-        .map(|d| match d {
-            Death::Raked(_) => SlotKind::Raked,
-            Death::Compressed { .. } => SlotKind::Compressed,
-            Death::Root(_) => SlotKind::Root,
-            // lint:allow(panic): the engine runs until every active node dies
-            Death::None => unreachable!("node survived a full contraction"),
-        })
         .collect();
 
     Contraction {
@@ -389,9 +349,8 @@ where
         rounds: outcome.rounds,
         death_round: scratch.death_round,
         up: scratch.death_parent,
-        hop_off,
-        hop_victims,
-        kinds,
+        hop_off: scratch.hop_off,
+        hop_victims: scratch.hop_victims,
         profile: None,
     }
 }

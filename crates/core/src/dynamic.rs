@@ -16,43 +16,43 @@
 //!   `O(affected × log)` independent of tree depth *and* node degree —
 //!   paths and stars propagate as fast as random trees;
 //! * **structural edits** ([`DynForest::batch_cut`],
-//!   [`DynForest::batch_link`]) rewire the trace itself, so they fall back
-//!   to the legacy dirty-set re-contraction: the edit marks the affected
-//!   root path, recompute re-runs rake/compress on the dirty set with
-//!   clean children entering as pre-resolved constants, and the replay
-//!   tables are invalidated. The next label-only recompute re-anchors on
-//!   one fresh full contraction before returning to pure propagation.
+//!   [`DynForest::batch_link`]) rewire the trace itself. The edit marks
+//!   only the node whose children changed; recompute then runs one full
+//!   contraction of the new shape (which folds in any pending label edits
+//!   too) and marks the replay tables stale. The next label-only
+//!   recompute re-anchors — rebuilds the tables from that trace, `O(n)` —
+//!   before propagating.
 //!
 //! The arena's parent pointers are the only stored shape: every pass that
 //! needs children derives them with [`Forest::child_csr`], in ascending id
 //! order, so sibling order — and with it every ordered algebra's answer —
 //! is a function of the current shape alone, never of edit history. The
-//! coin seed is fixed at construction, so a re-anchored trace is exactly
-//! the trace a fresh contraction of the same shape and seed records.
+//! coin seed is fixed at construction, so after every recompute the
+//! stored trace is exactly the trace a fresh contraction of the same
+//! shape and seed records.
 //!
 //! Values are resolved lazily from the trace (`O(rounds)` per read, no
 //! per-node value cache to keep coherent), which is why reads return
 //! values rather than references and why *any* pending edit makes every
 //! read stale until [`DynForest::recompute`] runs. Query batches
-//! ([`DynForest::query_batch`]) read the same trace whenever it is a full
-//! contraction of the current shape, i.e. outside the window between a
-//! structural recompute and the next re-anchor.
+//! ([`DynForest::query_batch`]) read the same trace.
 
 use crate::algebra::{PathAlgebra, Propagate};
 use crate::arena::{Forest, NONE};
-use crate::engine::{Death, Scratch};
+use crate::engine::Scratch;
 use crate::obs::{EngineCounters, NoopSink, Phase, Profile};
 use crate::propagate::{resolve_val, Replay};
-use crate::query::{resolve_batch, QueryBatch, QueryError, QueryOutcome, Shape, TraceView};
+use crate::query::{resolve_batch, QueryBatch, QueryError, QueryOutcome, Shape, TraceView, Vals};
 use crate::NodeId;
 use std::fmt;
 use std::time::Instant;
 
-/// Why a batch edit was rejected by [`DynForest::try_batch_cut`] /
-/// [`DynForest::try_batch_link`].
+/// Why a batch edit was rejected by [`DynForest::try_batch_cut`],
+/// [`DynForest::try_batch_link`] or
+/// [`DynForest::try_batch_update_weights`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EditError {
-    /// A cut or link named a node id that is not in the forest.
+    /// An edit named a node id that is not in the forest.
     UnknownNode {
         /// The offending id.
         node: NodeId,
@@ -105,13 +105,14 @@ pub struct UpdateStats {
     pub dirty: usize,
     /// Total nodes in the forest.
     pub total: usize,
-    /// Rake/compress rounds of the re-contraction, or — on the
-    /// propagation path — the number of distinct trace rounds the replay
-    /// wave touched (its depth in the contraction DAG).
+    /// Rake/compress rounds of the contraction a structural batch runs,
+    /// or — on the propagation path — the number of distinct trace rounds
+    /// the replay wave touched (its depth in the contraction DAG).
     pub rounds: u32,
     /// Trace slots re-executed by this recompute: the affected set of
-    /// change propagation, or every contracted node on the legacy and
-    /// full-rebuild paths.
+    /// change propagation, or every node when the recompute contracted
+    /// afresh (a structural batch) or re-anchored (the first label batch
+    /// after one).
     pub replayed_slots: usize,
     /// Trace slots whose recorded results were reused untouched.
     pub reused_slots: usize,
@@ -125,7 +126,7 @@ impl fmt::Display for UpdateStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "recomputed {} of {} nodes in {} rounds",
+            "{} of {} nodes marked, {} rounds",
             self.dirty, self.total, self.rounds
         )?;
         if self.replayed_slots + self.reused_slots > 0 {
@@ -160,10 +161,11 @@ impl fmt::Display for UpdateStats {
 /// let mut d = DynForest::new(f, SubtreeSum);
 /// assert_eq!(d.subtree_value(r), 6);
 ///
-/// // Cut `a` off: a structural edit, handled by dirty-set re-contraction.
+/// // Cut `a` off: a structural edit, handled by a fresh contraction.
 /// d.batch_cut(&[a]);
 /// let stats = d.recompute();
 /// assert_eq!(stats.dirty, 1);
+/// assert_eq!(stats.replayed_slots, stats.total);
 /// assert_eq!(d.subtree_value(r), 1);
 /// assert_eq!(d.subtree_value(a), 5);
 ///
@@ -173,7 +175,8 @@ impl fmt::Display for UpdateStats {
 /// d.recompute();
 /// assert_eq!(d.subtree_value(r), 105);
 ///
-/// // A label-only batch replays just the affected trace slots.
+/// // A label-only batch replays just the affected trace slots (the first
+/// // one after a structural batch rebuilds the replay tables first).
 /// d.batch_update_weights(&[(a, 20)]);
 /// let stats = d.recompute();
 /// assert!(stats.replayed_slots <= stats.total);
@@ -184,8 +187,8 @@ pub struct DynForest<A: Propagate> {
     forest: Forest<A::Label>,
     dirty: Vec<bool>,
     dirty_list: Vec<u32>,
-    /// `true` once a cut/link landed since the last recompute; forces the
-    /// legacy dirty-set path (the trace no longer matches the shape).
+    /// `true` once a cut/link landed since the last recompute: the trace
+    /// no longer matches the shape, so the next recompute contracts afresh.
     has_structural: bool,
     scratch: Scratch<A>,
     replay: Replay<A>,
@@ -219,7 +222,8 @@ impl<A: Propagate> DynForest<A> {
             seed,
             profile: None,
         };
-        d.rebuild_replay();
+        d.contract();
+        d.replay.rebuild(&d.alg, &d.forest, &d.scratch);
         d
     }
 
@@ -268,15 +272,17 @@ impl<A: Propagate> DynForest<A> {
         self.forest.is_empty()
     }
 
-    /// Number of nodes carrying pending edit marks (label edits mark just
-    /// the edited node; cuts/links mark the affected root path).
+    /// Number of nodes carrying pending edit marks (a label edit marks the
+    /// edited node; a cut or link marks the parent whose children
+    /// changed).
     pub fn pending(&self) -> usize {
         self.dirty_list.len()
     }
 
-    /// `true` when `v` carries a pending edit mark. Note that with *any*
-    /// edit pending every read is stale (see
-    /// [`DynForest::try_subtree_value`]), not only reads of marked nodes.
+    /// `true` when `v` carries a pending edit mark: it was relabelled, or
+    /// a cut or link changed its children. Note that with *any* edit
+    /// pending every read is stale (see [`DynForest::try_subtree_value`]),
+    /// not only reads of marked nodes.
     pub fn is_dirty(&self, v: NodeId) -> bool {
         self.dirty[v.index()]
     }
@@ -342,33 +348,14 @@ impl<A: Propagate> DynForest<A> {
         self.subtree_value(root)
     }
 
-    /// Marks a single node's trace slot as edited (label changes; the
-    /// propagation pass finds affected ancestors through the trace, so no
-    /// path walk is needed).
+    /// Marks a single node as edited: a label edit marks the edited node,
+    /// a cut or link the parent whose children changed. No path walk is
+    /// needed — propagation finds affected ancestors through the trace, and
+    /// a structural batch contracts the whole forest anyway.
     fn mark_dirty(&mut self, u: u32) {
         if !self.dirty[u as usize] {
             self.dirty[u as usize] = true;
             self.dirty_list.push(u);
-        }
-    }
-
-    /// Marks `start` and all its ancestors dirty, stopping early at the
-    /// first already-dirty node. Only structural edits walk paths — the
-    /// legacy dirty-set engine they fall back to needs an upward-closed
-    /// dirty set.
-    fn mark_path_dirty(&mut self, start: u32) {
-        let mut u = start;
-        loop {
-            if self.dirty[u as usize] {
-                return;
-            }
-            self.dirty[u as usize] = true;
-            self.dirty_list.push(u);
-            let p = self.forest.parent_raw(u);
-            if p == NONE {
-                return;
-            }
-            u = p;
         }
     }
 
@@ -392,7 +379,7 @@ impl<A: Propagate> DynForest<A> {
         }
         self.forest.set_parent_raw(v.raw(), NONE);
         self.has_structural = true;
-        self.mark_path_dirty(p);
+        self.mark_dirty(p);
         Ok(p)
     }
 
@@ -409,13 +396,13 @@ impl<A: Propagate> DynForest<A> {
         }
         self.forest.set_parent_raw(child.raw(), parent.raw());
         self.has_structural = true;
-        self.mark_path_dirty(parent.raw());
+        self.mark_dirty(parent.raw());
         Ok(())
     }
 
     /// Cuts each node in `cuts` from its parent, making it a component
-    /// root. The cut subtree's recorded values stay valid; only the old
-    /// ancestors are invalidated.
+    /// root. Marks each old parent; the next [`DynForest::recompute`]
+    /// contracts the new shape afresh.
     ///
     /// Ops apply in order; on the first invalid op
     /// ([`EditError::UnknownNode`] or [`EditError::AlreadyRoot`], including
@@ -462,8 +449,8 @@ impl<A: Propagate> DynForest<A> {
     }
 
     /// Links each `(child, parent)` pair, attaching the tree rooted at
-    /// `child` under `parent`. The linked subtree's recorded values stay
-    /// valid; only the new ancestors are invalidated.
+    /// `child` under `parent`. Marks each new parent; the next
+    /// [`DynForest::recompute`] contracts the new shape afresh.
     ///
     /// Each link walks `parent`'s chain to its root to reject cycles, so a
     /// batch costs `O(k × depth)` before any recomputation; the walk is
@@ -485,7 +472,7 @@ impl<A: Propagate> DynForest<A> {
             match self.link_one(child, parent) {
                 Ok(()) => applied.push(child),
                 Err(e) => {
-                    // The links already marked their paths; undoing one
+                    // The links already marked their parents; undoing one
                     // only clears the parent pointer it set.
                     for &child in applied.iter().rev() {
                         self.forest.set_parent_raw(child.raw(), NONE);
@@ -516,13 +503,35 @@ impl<A: Propagate> DynForest<A> {
     /// Replaces the labels (weights/operators) of the given nodes. Marks
     /// only the edited nodes: change propagation discovers the affected
     /// ancestors through the trace at [`DynForest::recompute`] time.
-    pub fn batch_update_weights(&mut self, updates: &[(NodeId, A::Label)]) {
+    ///
+    /// Every id is checked before any label changes, so a batch naming an
+    /// unknown node ([`EditError::UnknownNode`]) leaves labels and edit
+    /// marks exactly as they were.
+    pub fn try_batch_update_weights(
+        &mut self,
+        updates: &[(NodeId, A::Label)],
+    ) -> Result<(), EditError> {
+        for (v, _) in updates {
+            self.known(*v)?;
+        }
         let mark_start = self.profile.as_ref().map(|_| Instant::now());
         for (v, label) in updates {
             self.forest.set_label(*v, label.clone());
             self.mark_dirty(v.raw());
         }
         self.record_dirty_mark(mark_start);
+        Ok(())
+    }
+
+    /// Replaces the labels (weights/operators) of the given nodes.
+    ///
+    /// # Panics
+    /// Panics if a node is unknown, before changing any label; use
+    /// [`DynForest::try_batch_update_weights`] for the non-panicking form.
+    pub fn batch_update_weights(&mut self, updates: &[(NodeId, A::Label)]) {
+        self.try_batch_update_weights(updates)
+            // lint:allow(panic): documented panicking API; try_batch_update_weights is the fallible form
+            .unwrap_or_else(|e| panic!("batch_update_weights: {e}"));
     }
 
     /// Closes a dirty-mark span opened at the top of a batch edit.
@@ -532,11 +541,11 @@ impl<A: Propagate> DynForest<A> {
         }
     }
 
-    /// Runs one full contraction over the current shape and rebuilds the
-    /// replay tables from its trace; returns the round count and whole-run
-    /// engine counters.
-    fn rebuild_replay(&mut self) -> (u32, EngineCounters) {
-        let n = self.forest.len();
+    /// Runs one full contraction of the current forest under the
+    /// construction seed, leaving its trace in the scratch, and marks the
+    /// replay tables and the query shape stale. Returns the round count
+    /// and whole-run engine counters.
+    fn contract(&mut self) -> (u32, EngineCounters) {
         let DynForest {
             alg,
             forest,
@@ -546,13 +555,11 @@ impl<A: Propagate> DynForest<A> {
             profile,
             ..
         } = self;
-        scratch.seed_full(alg, forest);
-        let active: Vec<u32> = (0..n as u32).collect();
         let outcome = match profile {
-            Some(p) => scratch.contract_with(alg, &active, *seed, p.as_mut()),
-            None => scratch.contract_with(alg, &active, *seed, &mut NoopSink),
+            Some(p) => scratch.contract(alg, forest, *seed, p.as_mut()),
+            None => scratch.contract(alg, forest, *seed, &mut NoopSink),
         };
-        replay.rebuild(alg, forest, scratch);
+        replay.invalidate();
         (outcome.rounds, outcome.counters)
     }
 
@@ -566,14 +573,17 @@ impl<A: Propagate> DynForest<A> {
 
     /// Refreshes all values invalidated by pending edits.
     ///
-    /// Label-only batches replay the recorded trace by change propagation
-    /// (`O(affected × log)`; see the module docs). Batches containing a
-    /// cut or link re-contract the dirty set instead, with clean children
-    /// entering as pre-resolved constants, after one `O(n)` pass that
-    /// derives the child lists from the parent pointers; a structural
-    /// batch also invalidates the replay tables, and the next label-only
-    /// recompute re-anchors on one fresh full contraction before
-    /// propagating again.
+    /// A batch containing a cut or link runs one full contraction of the
+    /// new shape, which also folds in the batch's label edits, and marks
+    /// the replay tables stale. A label-only batch replays the recorded
+    /// trace by change propagation (`O(affected × log)`; see the module
+    /// docs); if a structural batch left the tables stale, it first
+    /// rebuilds them from the stored trace in `O(n)` — the re-anchor —
+    /// and reports every slot replayed.
+    ///
+    /// Either way the stored trace afterwards is the one a fresh
+    /// contraction of the current forest under the construction seed
+    /// records.
     pub fn recompute(&mut self) -> UpdateStats {
         let n = self.forest.len();
         let edited = self.dirty_list.len();
@@ -588,131 +598,52 @@ impl<A: Propagate> DynForest<A> {
             };
         }
 
-        if !self.has_structural {
-            if !self.replay.valid {
-                // A structural batch invalidated the replay tables;
-                // re-anchor with one full contraction (which also folds the
-                // pending label edits in) and return to pure propagation.
-                let (rounds, counters) = self.rebuild_replay();
-                self.clear_dirty();
-                return UpdateStats {
-                    dirty: edited,
-                    total: n,
-                    rounds,
-                    replayed_slots: n,
-                    reused_slots: 0,
-                    counters: self.profile.is_some().then_some(counters),
-                };
-            }
-            let DynForest {
-                alg,
-                forest,
-                scratch,
-                replay,
-                dirty_list,
-                profile,
-                ..
-            } = self;
-            let outcome = match profile {
-                Some(p) => replay.propagate(alg, forest, scratch, dirty_list, p.as_mut()),
-                None => replay.propagate(alg, forest, scratch, dirty_list, &mut NoopSink),
-            };
+        if self.has_structural {
+            let (rounds, counters) = self.contract();
+            self.has_structural = false;
             self.clear_dirty();
-            let counters = self.profile.is_some().then(|| EngineCounters {
-                rounds: outcome.rounds,
-                replayed_slots: outcome.replayed as u64,
-                reused_slots: (n - outcome.replayed) as u64,
-                ..EngineCounters::default()
-            });
             return UpdateStats {
                 dirty: edited,
                 total: n,
-                rounds: outcome.rounds,
-                replayed_slots: outcome.replayed,
-                reused_slots: n - outcome.replayed,
-                counters,
+                rounds,
+                replayed_slots: n,
+                reused_slots: 0,
+                counters: self.profile.is_some().then_some(counters),
             };
-        }
-
-        // Legacy dirty-set re-contraction. Label edits mark only the
-        // edited node, but the engine needs an upward-closed active set —
-        // close over the ancestors first (already-marked paths stop the
-        // walk immediately).
-        let snapshot: Vec<u32> = self.dirty_list.clone();
-        for &u in &snapshot {
-            let p = self.forest.parent_raw(u);
-            if p != NONE {
-                self.mark_path_dirty(p);
-            }
         }
 
         let DynForest {
             alg,
             forest,
-            dirty,
-            dirty_list,
-            has_structural,
             scratch,
             replay,
-            seed,
+            dirty_list,
             profile,
             ..
         } = self;
-
-        let children = forest.child_csr();
-        for &u in dirty_list.iter() {
-            let ui = u as usize;
-            let p = forest.parent_raw(u);
-            debug_assert!(
-                p == NONE || dirty[p as usize],
-                "dirty set must be upward-closed"
-            );
-            scratch.par[ui] = p;
-            let mut acc = alg.init_acc(forest.label(NodeId(u)));
-            let mut live_children = 0u32;
-            for (i, &c) in children.of(u).iter().enumerate() {
-                if dirty[c as usize] {
-                    live_children += 1;
-                    // The dirty child will rake in later; hand it its
-                    // id-order slot so ordered algebras absorb it at the
-                    // right position.
-                    scratch.sib[c as usize] = i as u32;
-                } else {
-                    // A clean child's whole subtree is clean, so its
-                    // recorded chain still resolves to its exact value.
-                    let cached = resolve_val(alg, &scratch.death, c);
-                    alg.absorb_at(&mut acc, i as u32, cached);
-                }
-            }
-            scratch.count[ui] = live_children;
-            scratch.acc[ui] = acc;
-            scratch.fun[ui] = alg.identity();
-            scratch.alive[ui] = true;
-            scratch.death[ui] = Death::None;
-            scratch.death_round[ui] = 0;
+        let reanchor = !replay.valid;
+        if reanchor {
+            replay.rebuild(alg, forest, scratch);
         }
-
-        // Both arms run the same engine code; the profiled arm pays for
-        // telemetry, the default arm is compiled with the no-op sink.
         let outcome = match profile {
-            Some(p) => scratch.contract_with(alg, dirty_list, *seed, p.as_mut()),
-            None => scratch.contract_with(alg, dirty_list, *seed, &mut NoopSink),
+            Some(p) => replay.propagate(alg, forest, scratch, dirty_list, p.as_mut()),
+            None => replay.propagate(alg, forest, scratch, dirty_list, &mut NoopSink),
         };
-        // The dirty-set run left a mixed-generation trace the replay
-        // tables no longer describe; rebuild lazily at the next
-        // label-only recompute so a burst of structural batches pays for
-        // one re-anchor, not one per batch.
-        replay.valid = false;
-        *has_structural = false;
-        let recomputed = dirty_list.len();
         self.clear_dirty();
+        let replayed = if reanchor { n } else { outcome.replayed };
+        let counters = self.profile.is_some().then(|| EngineCounters {
+            rounds: outcome.rounds,
+            replayed_slots: replayed as u64,
+            reused_slots: (n - replayed) as u64,
+            ..EngineCounters::default()
+        });
         UpdateStats {
-            dirty: recomputed,
+            dirty: edited,
             total: n,
             rounds: outcome.rounds,
-            replayed_slots: recomputed,
-            reused_slots: n - recomputed,
-            counters: self.profile.is_some().then_some(outcome.counters),
+            replayed_slots: replayed,
+            reused_slots: n - replayed,
+            counters,
         }
     }
 
@@ -723,21 +654,12 @@ impl<A: Propagate> DynForest<A> {
     /// silently answering from stale data — call
     /// [`DynForest::recompute`] first.
     ///
-    /// Whenever the maintained trace is coherent — after construction and
-    /// after every label-only [`recompute`](DynForest::recompute), which
-    /// propagates or re-anchors — the batch is answered straight from it:
-    /// no contraction runs. The label-independent part of the batch
-    /// context (Euler intervals, component roots, victim order) is built
-    /// by the first such batch and reused until the trace is rebuilt, so a
-    /// later batch costs one `O(victims)` pass of path folds plus
-    /// `O(log² n)` per query.
-    ///
-    /// A cut/link recompute re-contracts only the dirty set, which leaves
-    /// a mixed-generation trace behind: a clean node's recorded shortcut
-    /// parent may predate a cut that re-routed the path above it. Until
-    /// the next label batch re-anchors, this runs one fresh full
-    /// contraction per call and resolves against that through the same
-    /// resolver.
+    /// The batch is answered straight from the maintained trace: no
+    /// contraction runs. The label-independent part of the batch context
+    /// (Euler intervals, component roots, victim order) is built by the
+    /// first batch after construction or after a cut/link recompute, and
+    /// reused across label batches, so a later batch costs one
+    /// `O(victims)` pass of path folds plus `O(log² n)` per query.
     pub fn query_batch(&self, batch: &QueryBatch) -> Result<Vec<QueryOutcome<A>>, QueryError>
     where
         A: PathAlgebra,
@@ -747,10 +669,7 @@ impl<A: Propagate> DynForest<A> {
                 pending: self.dirty_list.len(),
             });
         }
-        let Some(view) = self.stored_view() else {
-            let c = self.forest.contraction().seed(self.seed).run(&self.alg);
-            return c.query_batch(&self.forest, &self.alg, batch);
-        };
+        let view = self.stored_view();
         let shape = self
             .replay
             .shape
@@ -758,11 +677,19 @@ impl<A: Propagate> DynForest<A> {
         Ok(resolve_batch(&self.forest, &view, shape, &self.alg, batch))
     }
 
-    /// The maintained trace as a query view, or `None` while it is not a
-    /// full contraction of the current shape: after a cut/link recompute
-    /// (until the next label batch re-anchors) or with a cut/link pending.
-    pub(crate) fn stored_view(&self) -> Option<TraceView<'_, A>> {
-        (self.replay.valid && !self.has_structural).then(|| self.replay.view(&self.scratch))
+    /// The maintained trace as a query view: the shortcut links, round
+    /// stamps and hop lists of the last contraction, with values resolved
+    /// lazily from the death records. It describes the current shape
+    /// whenever no cut or link is pending.
+    pub(crate) fn stored_view(&self) -> TraceView<'_, A> {
+        let s = &self.scratch;
+        TraceView {
+            up: &s.death_parent,
+            hop_off: &s.hop_off,
+            hop_victims: &s.hop_victims,
+            death_round: &s.death_round,
+            vals: Vals::Deaths(&s.death),
+        }
     }
 
     /// Verifies the structural invariants of the dynamic layer
@@ -773,11 +700,12 @@ impl<A: Propagate> DynForest<A> {
     ///   copy to keep symmetric;
     /// * **edit-mark coherence** — `dirty_list` is a duplicate-free
     ///   enumeration of exactly the flagged nodes. (Edit marks are *not*
-    ///   upward-closed: label edits mark only the edited node, and change
-    ///   propagation finds the ancestors through the trace.)
-    /// * **stored trace** — while the maintained trace is a full
-    ///   contraction of the current shape (the state in which
-    ///   [`DynForest::query_batch`] reads it), it satisfies every rule of
+    ///   upward-closed: an edit marks one node, and change propagation
+    ///   finds the ancestors through the trace.)
+    /// * a pending cut or link carries at least one edit mark, so every
+    ///   read reports staleness until the recompute;
+    /// * **stored trace** — unless a cut or link is pending, the
+    ///   maintained trace satisfies every rule of
     ///   [`Contraction::validate`](crate::Contraction::validate), and the
     ///   cached query shape, if built, has well-nested Euler intervals.
     ///
@@ -817,8 +745,13 @@ impl<A: Propagate> DynForest<A> {
             }
         }
 
-        if let Some(view) = self.stored_view() {
-            crate::contract::validate_trace(&self.forest, &view)?;
+        ensure!(
+            !self.has_structural || !self.dirty_list.is_empty(),
+            "a cut or link is pending without an edit mark"
+        );
+
+        if !self.has_structural {
+            crate::contract::validate_trace(&self.forest, &self.stored_view())?;
             if let Some(shape) = self.replay.shape.get() {
                 shape.check_euler(&self.forest)?;
             }
@@ -894,8 +827,11 @@ mod tests {
         let (a, b) = (NodeId(17), NodeId(1_234));
         let mut batch = QueryBatch::new();
         batch.subtree(a).path(a, b).lca(a, b).component_value(b);
+        let fresh_answers = |d: &DynForest<MinMax>| {
+            let c = d.forest().contraction().seed(d.seed).run(&MinMax);
+            c.query_batch(d.forest(), &MinMax, &batch).unwrap()
+        };
 
-        assert!(d.stored_view().is_some(), "fresh forest");
         assert!(d.replay.shape.get().is_none(), "shape is built lazily");
         let fresh = d.query_batch(&batch).unwrap();
         assert!(
@@ -905,40 +841,45 @@ mod tests {
 
         d.batch_update_weights(&[(a, 1 << 40), (b, -(1 << 40))]);
         d.recompute();
-        assert!(d.stored_view().is_some(), "after a propagated label batch");
         assert!(
             d.replay.shape.get().is_some(),
             "label batches keep the shape"
         );
         let propagated = d.query_batch(&batch).unwrap();
         assert_ne!(fresh, propagated, "answers follow the new labels");
+        assert_eq!(propagated, fresh_answers(&d));
 
         let cut = d.forest().parent(b).map_or(a, |_| b);
         d.batch_cut(&[cut]);
-        assert!(d.stored_view().is_none(), "cut pending");
+        assert!(d.query_batch(&batch).is_err(), "cut pending");
         d.recompute();
-        assert!(d.stored_view().is_none(), "after a cut recompute");
-        d.query_batch(&batch).unwrap();
+        assert!(
+            d.replay.shape.get().is_none(),
+            "a cut recompute drops the old shape"
+        );
+        assert!(!d.replay.valid, "and leaves the replay tables stale");
+        assert_eq!(d.query_batch(&batch).unwrap(), fresh_answers(&d));
+        assert!(
+            d.replay.shape.get().is_some(),
+            "the batch read the stored trace and cached its shape"
+        );
 
         d.batch_update_weights(&[(a, 9)]);
         d.recompute();
+        assert!(d.replay.valid, "the label batch re-anchored");
         assert!(
-            d.stored_view().is_some(),
-            "after the re-anchoring label batch"
+            d.replay.shape.get().is_some(),
+            "re-anchoring keeps the shape of the unchanged trace"
         );
-        assert!(
-            d.replay.shape.get().is_none(),
-            "re-anchor drops the old shape"
-        );
-        assert!(d.clone().stored_view().is_some(), "clones keep the trace");
+        assert_eq!(d.query_batch(&batch).unwrap(), fresh_answers(&d));
+        let e = d.clone();
+        assert_eq!(e.query_batch(&batch).unwrap(), fresh_answers(&d));
     }
 
     #[test]
     fn stored_trace_is_a_fresh_contraction_under_the_construction_seed() {
         fn assert_fresh(d: &DynForest<MinMax>, when: &str) {
-            let view = d
-                .stored_view()
-                .unwrap_or_else(|| panic!("{when}: no trace"));
+            let view = d.stored_view();
             let c = d.forest().contraction().seed(d.seed).run(&MinMax);
             let death_round: Vec<u32> = d.forest().node_ids().map(|v| c.death_round(v)).collect();
             assert_eq!(view.up, c.up.as_slice(), "{when}: up");
@@ -963,10 +904,12 @@ mod tests {
         let old = d.forest().parent(v).expect("n1500 is not a root");
         d.batch_cut(&[v]);
         d.recompute();
+        assert_fresh(&d, "after the cut recompute");
         let target = d.root_of(old);
         assert_ne!(target, old, "the link moves n1500 to a new parent");
         d.batch_link(&[(v, target)]);
         d.recompute();
+        assert_fresh(&d, "after the link recompute");
         d.batch_update_weights(&[(NodeId(3), 11)]);
         let stats = d.recompute();
         assert_eq!(

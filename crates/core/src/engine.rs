@@ -1,10 +1,9 @@
 //! The rake/compress contraction engine.
 //!
-//! The engine runs classic Miller–Reif tree contraction over an explicit
-//! *active set* of nodes, which makes the same code path serve both full
-//! (static) contraction — active set = every node — and dirty-set
-//! re-contraction for batch-dynamic updates — active set = the nodes whose
-//! cached subtree values were invalidated.
+//! The engine runs classic Miller–Reif tree contraction over the whole
+//! forest. One run ([`Scratch::contract`]) serves both the static
+//! [`Contraction`](crate::Contraction) and every trace the dynamic layer
+//! keeps.
 //!
 //! Each round proceeds in two phases:
 //!
@@ -25,8 +24,9 @@
 //! Every node death is stamped with its round and recorded in a trace
 //! (`Death`), forming the round-stamped contraction DAG. A reverse replay
 //! of the trace ([`Scratch::backsolve`]) recovers the final subtree value of
-//! *every* node, not just the roots — this is what lets the dynamic layer
-//! reuse cached values for clean subtrees.
+//! *every* node, not just the roots. The same run also extracts the hop
+//! lists of its splice chains ([`Scratch::hop_off`], [`Scratch::hop_victims`]),
+//! which the query engine climbs and change propagation refolds.
 //!
 //! The run loop reports into a statically-dispatched [`Sink`]: per-round
 //! `plan`/`apply` spans and a [`RoundCounters`] record (frontier size,
@@ -62,7 +62,7 @@ enum Action {
 /// final subtree value.
 #[derive(Debug, Clone, Default)]
 pub(crate) enum Death<A: Algebra> {
-    /// Still alive (or never part of the active set).
+    /// Still alive.
     #[default]
     None,
     /// Raked: the node's final value was already known at death.
@@ -76,7 +76,7 @@ pub(crate) enum Death<A: Algebra> {
 
 /// Outcome of one engine run.
 pub(crate) struct RunOutcome<A: Algebra> {
-    /// `(root, component value)` for every component root in the active set.
+    /// `(root, component value)` for every component root.
     pub components: Vec<(NodeId, A::Val)>,
     /// Number of rake/compress rounds executed.
     pub rounds: u32,
@@ -86,10 +86,8 @@ pub(crate) struct RunOutcome<A: Algebra> {
 
 /// Reusable per-node working state, indexed by raw node id.
 ///
-/// All vectors are sized to the forest; a run only reads and writes entries
-/// of its active set (plus their parents, which upward-closure guarantees
-/// are active too), so the scratch can be reused across runs without
-/// clearing.
+/// All vectors are sized to the forest. Each run reseeds them in place, so
+/// one scratch serves any number of runs without reallocating.
 pub(crate) struct Scratch<A: Algebra> {
     /// Working copy of parent pointers (mutated by splices).
     pub par: Vec<u32>,
@@ -124,6 +122,11 @@ pub(crate) struct Scratch<A: Algebra> {
     /// bequest). Change propagation uses it to rebuild a compressed
     /// node's accumulator from its original children minus that slot.
     pub gap: Vec<u32>,
+    /// CSR offsets into `hop_victims`, length `n + 1`.
+    pub hop_off: Vec<u32>,
+    /// For every node `x`, the nodes spliced out from directly above it,
+    /// in ascending death round (see [`Scratch::contract`]).
+    pub hop_victims: Vec<u32>,
 }
 
 impl<A: Algebra> Default for Scratch<A> {
@@ -140,6 +143,8 @@ impl<A: Algebra> Default for Scratch<A> {
             death_parent: Vec::new(),
             sib: Vec::new(),
             gap: Vec::new(),
+            hop_off: Vec::new(),
+            hop_victims: Vec::new(),
         }
     }
 }
@@ -163,6 +168,8 @@ where
             death_parent: self.death_parent.clone(),
             sib: self.sib.clone(),
             gap: self.gap.clone(),
+            hop_off: self.hop_off.clone(),
+            hop_victims: self.hop_victims.clone(),
         }
     }
 }
@@ -173,7 +180,7 @@ impl<A: Algebra> Scratch<A> {
     /// function, its arena parent and child count, and no death record.
     /// Sibling slots follow id order, which is the arena's derived child
     /// order. Reuses the tables' allocations.
-    pub fn seed_full(&mut self, alg: &A, forest: &Forest<A::Label>) {
+    fn seed(&mut self, alg: &A, forest: &Forest<A::Label>) {
         let n = forest.len();
         self.par.clear();
         self.par.extend((0..n as u32).map(|v| forest.parent_raw(v)));
@@ -207,27 +214,26 @@ impl<A: Algebra> Scratch<A> {
         self.gap.resize(n, 0);
     }
 
-    /// Runs rake/compress rounds until every active node has died,
-    /// reporting phase spans and per-round counters into `sink`.
-    ///
-    /// The tables must cover the whole forest ([`Scratch::seed_full`]).
-    /// Callers re-contracting a subset must re-seed `par`, `count`, `acc`,
-    /// `fun`, `alive` and reset `death`/`death_round` for every node in
-    /// `active` beforehand.
+    /// Contracts the whole of `forest` under coin `seed`: seeds every
+    /// table, runs rake/compress rounds until every node has died, and
+    /// extracts the run's hop lists. Phase spans and per-round counters go
+    /// into `sink`.
     ///
     /// Telemetry is statically dispatched: every instrumentation site is
     /// guarded by `S::ENABLED`, so with [`crate::obs::NoopSink`] this
     /// compiles to exactly the uninstrumented loop.
-    pub fn contract_with<S: Sink>(
+    pub fn contract<S: Sink>(
         &mut self,
         alg: &A,
-        active: &[u32],
+        forest: &Forest<A::Label>,
         seed: u64,
         sink: &mut S,
     ) -> RunOutcome<A> {
+        self.seed(alg, forest);
+        let n = forest.len();
         self.death_order.clear();
         let mut components = Vec::new();
-        let mut live: Vec<u32> = active.to_vec();
+        let mut live: Vec<u32> = (0..n as u32).collect();
         let mut actions: Vec<Action> = Vec::new();
         let mut round = 0;
         let mut counters = EngineCounters::default();
@@ -357,6 +363,7 @@ impl<A: Algebra> Scratch<A> {
             }
         }
 
+        self.link_hops(n);
         RunOutcome {
             components,
             rounds: round,
@@ -434,10 +441,10 @@ impl<A: Algebra> Scratch<A> {
     #[inline(always)]
     fn check_round(&self, _round: u32, _live: &[u32], _deaths_before: usize) {}
 
-    /// Extracts the hop lists of the last run over nodes `0..n` as a CSR
-    /// (`hop_off`, `hop_victims`): for every node `x`, the nodes that were
-    /// spliced out from directly above it — i.e. the original-tree
-    /// ancestors lying strictly between `x` and its working parent at death
+    /// Extracts the hop lists of the finished run as a CSR (`hop_off`,
+    /// `hop_victims`): for every node `x`, the nodes that were spliced out
+    /// from directly above it — i.e. the original-tree ancestors lying
+    /// strictly between `x` and its working parent at death
     /// (`death_parent[x]`), in ascending death round (equivalently,
     /// bottom-to-top along the original path).
     ///
@@ -447,14 +454,18 @@ impl<A: Algebra> Scratch<A> {
     /// `O(rounds)` shortcut pointers; this is what the batch query engine
     /// traverses, and the order in which change propagation refolds a
     /// splice chain.
-    ///
-    /// Only meaningful after a run whose active set was the full `0..n`
-    /// range (static contraction); a dirty-set run leaves stale entries for
-    /// untouched nodes.
-    pub fn trace_links(&self, n: usize) -> (Vec<u32>, Vec<u32>) {
-        let mut hop_off = vec![0u32; n + 1];
-        for &u in &self.death_order {
-            if let Death::Compressed { child, .. } = &self.death[u as usize] {
+    fn link_hops(&mut self, n: usize) {
+        let Scratch {
+            death,
+            death_order,
+            hop_off,
+            hop_victims,
+            ..
+        } = self;
+        hop_off.clear();
+        hop_off.resize(n + 1, 0);
+        for &u in death_order.iter() {
+            if let Death::Compressed { child, .. } = &death[u as usize] {
                 hop_off[*child as usize + 1] += 1;
             }
         }
@@ -462,21 +473,21 @@ impl<A: Algebra> Scratch<A> {
             hop_off[i + 1] += hop_off[i];
         }
         let mut cursor = hop_off.clone();
-        let mut hop_victims = vec![0u32; hop_off[n] as usize];
+        hop_victims.clear();
+        hop_victims.resize(hop_off[n] as usize, 0);
         // `death_order` is chronological, so each hop list comes out in
         // ascending death round, which is bottom-to-top along the path.
-        for &u in &self.death_order {
-            if let Death::Compressed { child, .. } = &self.death[u as usize] {
+        for &u in death_order.iter() {
+            if let Death::Compressed { child, .. } = &death[u as usize] {
                 let c = *child as usize;
                 hop_victims[cursor[c] as usize] = u;
                 cursor[c] += 1;
             }
         }
-        (hop_off, hop_victims)
     }
 
     /// Replays the death trace in reverse, writing the final subtree value
-    /// of every active node into `out`.
+    /// of every node into `out`.
     ///
     /// Raked nodes and finished roots knew their value at death; a
     /// compressed node's value is its recorded unary function applied to

@@ -12,7 +12,7 @@
 //!   trace slots whose inputs changed (change propagation with cached
 //!   child aggregates — see the [`Propagate`] trait), and batches of
 //!   [`cut`](DynForest::try_batch_cut) / [`link`](DynForest::try_batch_link)
-//!   edits fall back to re-contracting the dirty set;
+//!   edits re-run one full contraction of the new shape;
 //! * a **batch query** engine: a [`QueryBatch`] of mixed subtree / path /
 //!   LCA / component queries resolves in a single pass over the
 //!   contraction DAG — one `O(n)` context sweep plus `O(log n)` per query
@@ -104,7 +104,7 @@ pub use algebra::{
     PathAlgebra, Propagate, SubtreeSum,
 };
 pub use arena::{Forest, NodeId};
-pub use contract::{ContractOptions, Contraction, SlotKind};
+pub use contract::{ContractOptions, Contraction};
 pub use dynamic::{DynForest, EditError, UpdateStats};
 pub use obs::Profile;
 pub use ordered::{HashSeq, OrderedRake, RunsPart, Sandwich, SeqAcc, SeqHash, SeqMonoid};

@@ -3,10 +3,10 @@
 //! The round-stamped death trace left behind by a full contraction is a
 //! dependency DAG: every rake delivered a contribution to the victim's
 //! working parent, and every splice folded a victim's unary function into
-//! the surviving chain. [`Replay`] materializes that DAG once — the hop
-//! lists of the splice chains plus, for every node, an aggregate of its
-//! children's contributions — and then re-executes **only the slots whose
-//! inputs changed** when a batch of label edits lands:
+//! the surviving chain. The run itself records the hop lists of the splice
+//! chains; [`Replay`] adds, for every node, an aggregate of its children's
+//! contributions, and then re-executes **only the slots whose inputs
+//! changed** when a batch of label edits lands:
 //!
 //! 1. every edited node is seeded into a priority queue keyed by its death
 //!    round;
@@ -31,7 +31,7 @@
 //!   keep one merged `Part` per node and patch a changed child by
 //!   subtract/re-add in `O(1)`;
 //! * **sibling tree** — non-invertible algebras keep a balanced binary
-//!   tree over the child slots ([`SibTree`]) and replay an `O(log degree)`
+//!   tree over the child slots ([`SibTrees`]) and replay an `O(log degree)`
 //!   leaf-to-root path, so even a 10⁵-ary star patches one child without
 //!   refolding the other 10⁵ − 1.
 
@@ -39,7 +39,7 @@ use crate::algebra::{Algebra, Propagate};
 use crate::arena::Forest;
 use crate::engine::{Death, Scratch};
 use crate::obs::{Phase, Sink};
-use crate::query::{Shape, TraceView, Vals};
+use crate::query::Shape;
 use crate::NodeId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -69,44 +69,60 @@ pub(crate) fn resolve_val<A: Algebra>(alg: &A, death: &[Death<A>], v: u32) -> A:
     }
 }
 
-/// Balanced sibling-accumulation tree over one node's child slots.
+/// Balanced sibling-accumulation trees over every node's child slots,
+/// stored back to back in one array.
 ///
-/// A 1-based heap-shaped array: leaves live at `size + slot` (padded to a
-/// power of two with [`Propagate::part_empty`]), internal nodes hold the
-/// merge of their children with lower slots on the left, so the root is
-/// the in-order aggregate of every slot. Patching one slot remerges only
-/// the leaf-to-root path: `O(log degree)`.
+/// Node `u`'s tree is the slice `nodes[off[u]..off[u + 1]]`, a 1-based
+/// heap-shaped array: leaves live at `size + slot` (padded to a power of
+/// two with [`Propagate::part_empty`]), internal nodes hold the merge of
+/// their children with lower slots on the left, so index 1 is the
+/// in-order aggregate of every slot. Patching one slot remerges only the
+/// leaf-to-root path: `O(log degree)`.
 #[derive(Clone)]
-pub(crate) struct SibTree<P> {
-    /// Leaf capacity (power of two, ≥ 1); the root sits at index 1.
-    size: usize,
+pub(crate) struct SibTrees<P> {
+    off: Vec<usize>,
     nodes: Vec<P>,
 }
 
-impl<P: Clone> SibTree<P> {
-    fn build<A: Propagate<Part = P>>(alg: &A, leaves: Vec<P>) -> Self {
-        let size = leaves.len().next_power_of_two().max(1);
-        let mut nodes = vec![alg.part_empty(); 2 * size];
-        for (i, leaf) in leaves.into_iter().enumerate() {
-            nodes[size + i] = leaf;
+impl<P: Clone> SibTrees<P> {
+    /// Builds one tree per node `u < n` from `leaves(u)`, the parts of
+    /// `u`'s child slots in slot order.
+    fn build<A, I>(alg: &A, n: usize, leaves: impl Fn(usize) -> I) -> Self
+    where
+        A: Propagate<Part = P>,
+        I: ExactSizeIterator<Item = P>,
+    {
+        let mut off = Vec::with_capacity(n + 1);
+        off.push(0);
+        for u in 0..n {
+            off.push(off[u] + 2 * leaves(u).len().next_power_of_two().max(1));
         }
-        for i in (1..size).rev() {
-            nodes[i] = alg.part_merge(&nodes[2 * i], &nodes[2 * i + 1]);
+        let mut nodes = vec![alg.part_empty(); off[n]];
+        for u in 0..n {
+            let tree = &mut nodes[off[u]..off[u + 1]];
+            let size = tree.len() / 2;
+            for (i, leaf) in leaves(u).enumerate() {
+                tree[size + i] = leaf;
+            }
+            for i in (1..size).rev() {
+                tree[i] = alg.part_merge(&tree[2 * i], &tree[2 * i + 1]);
+            }
         }
-        SibTree { size, nodes }
+        SibTrees { off, nodes }
     }
 
-    fn set<A: Propagate<Part = P>>(&mut self, alg: &A, slot: u32, part: P) {
-        let mut i = self.size + slot as usize;
-        self.nodes[i] = part;
+    fn set<A: Propagate<Part = P>>(&mut self, alg: &A, u: usize, slot: u32, part: P) {
+        let tree = &mut self.nodes[self.off[u]..self.off[u + 1]];
+        let mut i = tree.len() / 2 + slot as usize;
+        tree[i] = part;
         while i > 1 {
             i >>= 1;
-            self.nodes[i] = alg.part_merge(&self.nodes[2 * i], &self.nodes[2 * i + 1]);
+            tree[i] = alg.part_merge(&tree[2 * i], &tree[2 * i + 1]);
         }
     }
 
-    fn root(&self) -> &P {
-        &self.nodes[1]
+    fn root(&self, u: usize) -> &P {
+        &self.nodes[self.off[u] + 1]
     }
 }
 
@@ -117,14 +133,14 @@ pub(crate) enum Kids<A: Propagate> {
     /// One merged `Part` per node; patched by subtract/re-add.
     Flat(Vec<A::Part>),
     /// One sibling tree per node; patched along a leaf-to-root path.
-    Trees(Vec<SibTree<A::Part>>),
+    Trees(SibTrees<A::Part>),
 }
 
 impl<A: Propagate> Kids<A> {
     fn root(&self, u: usize) -> &A::Part {
         match self {
             Kids::Flat(parts) => &parts[u],
-            Kids::Trees(trees) => trees[u].root(),
+            Kids::Trees(trees) => trees.root(u),
         }
     }
 
@@ -135,7 +151,7 @@ impl<A: Propagate> Kids<A> {
                 let add = alg.part_of(slot, new);
                 parts[u] = alg.part_merge(&parts[u], &add);
             }
-            Kids::Trees(trees) => trees[u].set(alg, slot, alg.part_of(slot, new)),
+            Kids::Trees(trees) => trees.set(alg, u, slot, alg.part_of(slot, new)),
         }
     }
 }
@@ -148,28 +164,22 @@ pub(crate) struct PropagateOutcome {
     pub rounds: u32,
 }
 
-/// The contraction trace reshaped for replay, plus the caches that make
-/// replaying a slot `O(1)`–`O(log degree)` instead of `O(degree)`.
+/// The caches that make replaying a trace slot `O(1)`–`O(log degree)`
+/// instead of `O(degree)`, plus the query shape of the same trace.
 ///
-/// Built from (and only valid against) one *full* contraction's scratch
-/// state; structural edits go through the legacy dirty-set path and flip
-/// [`Replay::valid`] off, so the next label-only recompute re-anchors with
-/// a fresh contraction before propagating.
+/// Derived from (and only valid against) the full contraction held in a
+/// [`Scratch`]. A structural recompute runs a new contraction and marks
+/// the tables stale ([`Replay::invalidate`]); the next label-only
+/// recompute rebuilds them before propagating.
 pub(crate) struct Replay<A: Propagate> {
-    /// `false` until [`Replay::rebuild`] runs against a coherent trace.
+    /// `false` until [`Replay::rebuild`] runs against the current trace.
     pub valid: bool,
-    /// Hop CSR of the contraction the tables were rebuilt from ([`Scratch::trace_links`]): for every
-    /// survivor, the nodes spliced onto it, in ascending death round —
-    /// bottom-to-top along the original path, the order their functions
-    /// compose in.
-    hop_off: Vec<u32>,
-    hop_victims: Vec<u32>,
     /// Aggregated child contributions per node (minus the surviving
     /// chain's slot for compressed nodes).
     kids: Kids<A>,
     /// Shape part of the query context over this trace, built by the
     /// first query batch that needs it. Label edits leave it valid;
-    /// [`Replay::rebuild`] drops it with the tables it describes.
+    /// [`Replay::invalidate`] drops it with the trace it describes.
     pub shape: OnceLock<Shape>,
     /// Scheduling flags for the current pass; always reset before return.
     affected: Vec<bool>,
@@ -180,8 +190,6 @@ impl<A: Propagate> Replay<A> {
     pub fn new() -> Self {
         Replay {
             valid: false,
-            hop_off: Vec::new(),
-            hop_victims: Vec::new(),
             kids: Kids::Flat(Vec::new()),
             shape: OnceLock::new(),
             affected: Vec::new(),
@@ -189,11 +197,18 @@ impl<A: Propagate> Replay<A> {
         }
     }
 
-    /// Rebuilds every table from `scratch`, which must hold the completed
-    /// trace of a **full** contraction of `forest` (every node in the
-    /// active set). Child slots follow [`Forest::child_csr`], the id order
-    /// the engine seeded. `O(n + trace)` using one backsolve sweep for
-    /// child values.
+    /// Marks the tables stale and drops the query shape: `scratch` now
+    /// holds a new contraction they do not describe.
+    pub fn invalidate(&mut self) {
+        self.valid = false;
+        self.shape = OnceLock::new();
+    }
+
+    /// Rebuilds the child aggregates from `scratch`, which must hold a
+    /// full contraction of `forest`'s shape, modulo earlier propagation
+    /// passes. Child slots follow [`Forest::child_csr`], the id order the
+    /// engine seeded. `O(n + trace)` using one backsolve sweep for child
+    /// values.
     pub fn rebuild(&mut self, alg: &A, forest: &Forest<A::Label>, scratch: &Scratch<A>) {
         let n = forest.len();
         let children = forest.child_csr();
@@ -201,8 +216,6 @@ impl<A: Propagate> Replay<A> {
         self.affected.resize(n, false);
         self.refold.clear();
         self.refold.resize(n, false);
-        (self.hop_off, self.hop_victims) = scratch.trace_links(n);
-        self.shape = OnceLock::new();
 
         let mut vals: Vec<Option<A::Val>> = vec![None; n];
         scratch.backsolve(alg, &mut vals);
@@ -236,40 +249,24 @@ impl<A: Propagate> Replay<A> {
             }
             Kids::Flat(parts)
         } else {
-            let mut trees = Vec::with_capacity(n);
-            for p in 0..n {
+            let trees = SibTrees::build(alg, n, |p| {
                 let gap = gap_of(p);
-                let leaves: Vec<A::Part> = children
+                let vals = &vals;
+                children
                     .of(p as u32)
                     .iter()
                     .enumerate()
-                    .map(|(i, &c)| {
+                    .map(move |(i, &c)| {
                         if gap == Some(i as u32) {
                             alg.part_empty()
                         } else {
-                            alg.part_of(i as u32, child_val(&vals, c))
+                            alg.part_of(i as u32, child_val(vals, c))
                         }
                     })
-                    .collect();
-                trees.push(SibTree::build(alg, leaves));
-            }
+            });
             Kids::Trees(trees)
         };
         self.valid = true;
-    }
-
-    /// The trace in `scratch` as a query view: the shortcut links and
-    /// round stamps live in the scratch, the hop lists here, and values
-    /// resolve lazily from the death records. Coherent only while
-    /// `self.valid` holds for that same scratch.
-    pub fn view<'a>(&'a self, scratch: &'a Scratch<A>) -> TraceView<'a, A> {
-        TraceView {
-            up: &scratch.death_parent,
-            hop_off: &self.hop_off,
-            hop_victims: &self.hop_victims,
-            death_round: &scratch.death_round,
-            vals: Vals::Deaths(&scratch.death),
-        }
     }
 
     /// Replays the trace slots affected by the edited nodes in `dirty`,
@@ -292,20 +289,28 @@ impl<A: Propagate> Replay<A> {
             None
         };
         let Replay {
-            hop_off,
-            hop_victims,
             kids,
             affected,
             refold,
             ..
         } = self;
+        let Scratch {
+            fun,
+            death,
+            death_round,
+            death_parent,
+            sib,
+            hop_off,
+            hop_victims,
+            ..
+        } = scratch;
 
         // Min-heap on (death round, node): dependencies always point to a
         // strictly later round, so one ascending drain visits each
         // affected slot exactly once.
         let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
         for &u in dirty {
-            schedule(affected, &mut heap, scratch.death_round[u as usize], u);
+            schedule(affected, &mut heap, death_round[u as usize], u);
         }
 
         let mut processed: Vec<u32> = Vec::new();
@@ -326,8 +331,8 @@ impl<A: Propagate> Replay<A> {
             // Read before a refold rewrites the slot's edge function: a
             // raked slot's recorded contribution is its edge function
             // applied to its recorded value.
-            let slot = match &scratch.death[ui] {
-                Death::Raked(val) => Slot::Raked(alg.apply(&scratch.fun[ui], val.clone())),
+            let slot = match &death[ui] {
+                Death::Raked(val) => Slot::Raked(alg.apply(&fun[ui], val.clone())),
                 Death::Compressed { child, .. } => Slot::Compressed(*child),
                 Death::Root(_) => Slot::Root,
                 // lint:allow(panic): the replay was built from a completed trace
@@ -335,19 +340,19 @@ impl<A: Propagate> Replay<A> {
             };
             if refold[ui] {
                 let chain = &hop_victims[hop_off[ui] as usize..hop_off[ui + 1] as usize];
-                refold_chain(alg, forest, chain, kids, scratch, u);
+                refold_chain(alg, forest, chain, kids, death, fun, u);
             }
             match slot {
                 Slot::Raked(old) => {
                     let mut acc = alg.init_acc(forest.label(NodeId(u)));
                     alg.absorb_part(&mut acc, kids.root(ui));
                     let val = alg.finish(&acc);
-                    let new = alg.apply(&scratch.fun[ui], val.clone());
-                    scratch.death[ui] = Death::Raked(val);
+                    let new = alg.apply(&fun[ui], val.clone());
+                    death[ui] = Death::Raked(val);
                     if old != new {
-                        let p = scratch.death_parent[ui];
-                        kids.update(alg, p as usize, scratch.sib[ui], old, new);
-                        schedule(affected, &mut heap, scratch.death_round[p as usize], p);
+                        let p = death_parent[ui];
+                        kids.update(alg, p as usize, sib[ui], old, new);
+                        schedule(affected, &mut heap, death_round[p as usize], p);
                     }
                     // else: the recorded result still holds — the wave cuts
                     // off and everything above is reused as-is.
@@ -357,17 +362,12 @@ impl<A: Propagate> Replay<A> {
                     // composed function; re-derive the whole chain when the
                     // survivor drains (it dies strictly later).
                     refold[child as usize] = true;
-                    schedule(
-                        affected,
-                        &mut heap,
-                        scratch.death_round[child as usize],
-                        child,
-                    );
+                    schedule(affected, &mut heap, death_round[child as usize], child);
                 }
                 Slot::Root => {
                     let mut acc = alg.init_acc(forest.label(NodeId(u)));
                     alg.absorb_part(&mut acc, kids.root(ui));
-                    scratch.death[ui] = Death::Root(alg.finish(&acc));
+                    death[ui] = Death::Root(alg.finish(&acc));
                 }
             }
         }
@@ -406,7 +406,8 @@ fn refold_chain<A: Propagate>(
     forest: &Forest<A::Label>,
     chain: &[u32],
     kids: &Kids<A>,
-    scratch: &mut Scratch<A>,
+    death: &mut [Death<A>],
+    fun: &mut [A::Fun],
     x: u32,
 ) {
     let mut f = alg.identity();
@@ -415,18 +416,16 @@ fn refold_chain<A: Propagate>(
         let mut acc = alg.init_acc(forest.label(NodeId(v)));
         alg.absorb_part(&mut acc, kids.root(vi));
         let g = alg.compose(&alg.to_fun(&acc), &f);
-        f = alg.compose(&scratch.fun[vi], &g);
-        scratch.death[vi] = Death::Compressed { child: x, fun: g };
+        f = alg.compose(&fun[vi], &g);
+        death[vi] = Death::Compressed { child: x, fun: g };
     }
-    scratch.fun[x as usize] = f;
+    fun[x as usize] = f;
 }
 
 impl<A: Propagate> Clone for Replay<A> {
     fn clone(&self) -> Self {
         Replay {
             valid: self.valid,
-            hop_off: self.hop_off.clone(),
-            hop_victims: self.hop_victims.clone(),
             kids: self.kids.clone(),
             shape: self.shape.clone(),
             affected: self.affected.clone(),

