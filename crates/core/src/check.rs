@@ -121,7 +121,7 @@ impl std::error::Error for InvariantError {}
 /// conflict detection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Cell {
-    /// Working parent pointer `par[v]`.
+    /// Working parent pointer of `v`.
     Par(u32),
     /// Live child count `count[v]`.
     Count(u32),
@@ -131,8 +131,8 @@ pub enum Cell {
     Fun(u32),
     /// Sibling slot `sib[v]`.
     Sib(u32),
-    /// Life state of `v`: the alive flag plus the death record, round
-    /// stamp and trace entry written by a kill.
+    /// Life state of `v`: the death round stamp (0 while alive) and the
+    /// death record written by a kill.
     Life(u32),
 }
 

@@ -3,9 +3,10 @@
 
 use crate::algebra::Algebra;
 use crate::arena::{Forest, NONE};
-use crate::engine::Scratch;
+use crate::engine::{Scratch, Trace};
 use crate::obs::{NoopSink, Phase, Profile, Sink};
-use crate::query::{TraceView, Vals};
+#[cfg(feature = "check")]
+use crate::query::Vals;
 use crate::NodeId;
 use std::time::Instant;
 
@@ -20,19 +21,7 @@ pub struct Contraction<A: Algebra> {
     vals: Vec<A::Val>,
     components: Vec<(NodeId, A::Val)>,
     rounds: u32,
-    death_round: Vec<u32>,
-    /// Working parent at death; `NONE` for finished roots. Strictly
-    /// increases in death round along any chain, so climbing it reaches a
-    /// root in at most `rounds` hops.
-    pub(crate) up: Vec<u32>,
-    /// CSR offsets into `hop_victims`, length `n + 1`.
-    pub(crate) hop_off: Vec<u32>,
-    /// For each node `x`, the nodes spliced out from directly above it —
-    /// its successive working parents, bottom to top (ascending death
-    /// round). Together with the victims' own (recursive) victim lists
-    /// these are exactly the original ancestors strictly between `x` and
-    /// `up[x]`.
-    pub(crate) hop_victims: Vec<u32>,
+    pub(crate) trace: Trace,
     profile: Option<Box<Profile>>,
 }
 
@@ -47,7 +36,8 @@ impl<A: Algebra> Contraction<A> {
         &self.vals
     }
 
-    /// `(root, aggregate)` for every component of the forest.
+    /// `(root, aggregate)` for every component of the forest, in ascending
+    /// root id (the order of [`Forest::roots`]).
     pub fn components(&self) -> &[(NodeId, A::Val)] {
         &self.components
     }
@@ -60,7 +50,7 @@ impl<A: Algebra> Contraction<A> {
     /// Round (1-based) in which `v` was contracted away — the node's stamp
     /// in the contraction DAG.
     pub fn death_round(&self, v: NodeId) -> u32 {
-        self.death_round[v.index()]
+        self.trace.death_round[v.index()]
     }
 
     /// `v`'s working parent at the moment it was contracted away, or
@@ -71,7 +61,7 @@ impl<A: Algebra> Contraction<A> {
     /// compressed out from above `v`. The batch query engine climbs them to
     /// answer root/LCA/path queries in `O(rounds)` per query.
     pub fn trace_parent(&self, v: NodeId) -> Option<NodeId> {
-        let p = self.up[v.index()];
+        let p = self.trace.up[v.index()];
         (p != NONE).then_some(NodeId(p))
     }
 
@@ -83,9 +73,7 @@ impl<A: Algebra> Contraction<A> {
     /// `trace_parent(v)`, … reconstructs the full original ancestor path
     /// of `v` in `O(rounds)` hops.
     pub fn trace_victims(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let lo = self.hop_off[v.index()] as usize;
-        let hi = self.hop_off[v.index() + 1] as usize;
-        self.hop_victims[lo..hi].iter().map(|&u| NodeId(u))
+        self.trace.victims(v.raw()).iter().map(|&u| NodeId(u))
     }
 
     /// Telemetry report collected during the contraction, present only when
@@ -94,23 +82,11 @@ impl<A: Algebra> Contraction<A> {
         self.profile.as_deref()
     }
 
-    /// Borrowed view of the trace, the form the query resolver and the
-    /// trace validator read.
-    pub(crate) fn view(&self) -> TraceView<'_, A> {
-        TraceView {
-            up: &self.up,
-            hop_off: &self.hop_off,
-            hop_victims: &self.hop_victims,
-            death_round: &self.death_round,
-            vals: Vals::Solved(&self.vals),
-        }
-    }
-
     /// Verifies the structural invariants of the recorded trace against the
     /// forest it was built from (`check` feature):
     ///
-    /// * parallel arrays sized to the forest, and the hop CSR well-formed
-    ///   (`hop_off` monotone from 0 to `hop_victims.len()`);
+    /// * trace arrays and values sized to the forest, and the hop CSR
+    ///   well-formed (`hop_off` monotone from 0 to `hop_victims.len()`);
     /// * **exactly one death per node** — every node carries a round stamp
     ///   ≥ 1 (the engine's kill hook rules out double deaths, and the hop
     ///   lists below rule out duplicate compress records);
@@ -129,25 +105,23 @@ impl<A: Algebra> Contraction<A> {
     /// forest.
     #[cfg(feature = "check")]
     pub fn validate<L>(&self, forest: &Forest<L>) -> Result<(), crate::check::InvariantError> {
-        validate_trace(forest, &self.view())
+        validate_trace(forest, &self.trace, &Vals::<A>::Solved(&self.vals))
     }
 }
 
-/// The trace rules of [`Contraction::validate`], over any [`TraceView`]:
-/// a finished contraction's or the trace a
+/// The trace rules of [`Contraction::validate`], over any [`Trace`] and
+/// the value source read with it: a finished contraction's or the trace a
 /// [`DynForest`](crate::DynForest) maintains.
 #[cfg(feature = "check")]
 pub(crate) fn validate_trace<L, A: Algebra>(
     forest: &Forest<L>,
-    t: &TraceView<'_, A>,
+    t: &Trace,
+    vals: &Vals<'_, A>,
 ) -> Result<(), crate::check::InvariantError> {
     use crate::check::{ensure, euler_of};
     let n = forest.len();
     ensure!(
-        t.vals_len() == n
-            && t.death_round.len() == n
-            && t.up.len() == n
-            && t.hop_off.len() == n + 1,
+        vals.len() == n && t.death_round.len() == n && t.up.len() == n && t.hop_off.len() == n + 1,
         "trace arrays are not sized to the forest ({n} nodes)"
     );
     let euler = euler_of(forest)?;
@@ -323,34 +297,29 @@ where
     A: Algebra<Label = L>,
     S: Sink,
 {
-    let n = forest.len();
     let mut scratch: Scratch<A> = Scratch::default();
     let outcome = scratch.contract(alg, forest, seed, sink);
 
-    let mut out: Vec<Option<A::Val>> = vec![None; n];
     let backsolve_start = if S::ENABLED {
         Some(Instant::now())
     } else {
         None
     };
-    scratch.backsolve(alg, &mut out);
+    let (solved, at) = scratch.backsolve(alg);
+    let vals: Vec<A::Val> = at.iter().map(|&i| solved[i as usize].clone()).collect();
     if let Some(t) = backsolve_start {
         sink.phase(Phase::Backsolve, t.elapsed().as_nanos() as u64);
     }
-    let vals = out
-        .into_iter()
-        // lint:allow(panic): the engine runs until every node dies
-        .map(|v| v.expect("every node contracted"))
+    let components = forest
+        .roots()
+        .map(|r| (r, vals[r.index()].clone()))
         .collect();
 
     Contraction {
         vals,
-        components: outcome.components,
+        components,
         rounds: outcome.rounds,
-        death_round: scratch.death_round,
-        up: scratch.death_parent,
-        hop_off: scratch.hop_off,
-        hop_victims: scratch.hop_victims,
+        trace: scratch.trace,
         profile: None,
     }
 }

@@ -42,7 +42,7 @@ use crate::arena::{Forest, NONE};
 use crate::engine::Scratch;
 use crate::obs::{EngineCounters, NoopSink, Phase, Profile};
 use crate::propagate::{resolve_val, Replay};
-use crate::query::{resolve_batch, QueryBatch, QueryError, QueryOutcome, Shape, TraceView, Vals};
+use crate::query::{resolve_batch, QueryBatch, QueryError, QueryOutcome, Shape, Vals};
 use crate::NodeId;
 use std::fmt;
 use std::time::Instant;
@@ -669,27 +669,22 @@ impl<A: Propagate> DynForest<A> {
                 pending: self.dirty_list.len(),
             });
         }
-        let view = self.stored_view();
+        // The stored trace describes the current shape whenever no cut or
+        // link is pending; values resolve lazily from the death records.
+        let s = &self.scratch;
         let shape = self
             .replay
             .shape
-            .get_or_init(|| Shape::build(&self.forest, &view));
-        Ok(resolve_batch(&self.forest, &view, shape, &self.alg, batch))
-    }
-
-    /// The maintained trace as a query view: the shortcut links, round
-    /// stamps and hop lists of the last contraction, with values resolved
-    /// lazily from the death records. It describes the current shape
-    /// whenever no cut or link is pending.
-    pub(crate) fn stored_view(&self) -> TraceView<'_, A> {
-        let s = &self.scratch;
-        TraceView {
-            up: &s.death_parent,
-            hop_off: &s.hop_off,
-            hop_victims: &s.hop_victims,
-            death_round: &s.death_round,
-            vals: Vals::Deaths(&s.death),
-        }
+            .get_or_init(|| Shape::build(&self.forest, &s.trace));
+        let vals = Vals::Deaths(&s.death);
+        Ok(resolve_batch(
+            &self.forest,
+            &s.trace,
+            &vals,
+            shape,
+            &self.alg,
+            batch,
+        ))
     }
 
     /// Verifies the structural invariants of the dynamic layer
@@ -751,7 +746,8 @@ impl<A: Propagate> DynForest<A> {
         );
 
         if !self.has_structural {
-            crate::contract::validate_trace(&self.forest, &self.stored_view())?;
+            let s = &self.scratch;
+            crate::contract::validate_trace(&self.forest, &s.trace, &Vals::Deaths(&s.death))?;
             if let Some(shape) = self.replay.shape.get() {
                 shape.check_euler(&self.forest)?;
             }
@@ -879,21 +875,13 @@ mod tests {
     #[test]
     fn stored_trace_is_a_fresh_contraction_under_the_construction_seed() {
         fn assert_fresh(d: &DynForest<MinMax>, when: &str) {
-            let view = d.stored_view();
+            let t = &d.scratch.trace;
             let c = d.forest().contraction().seed(d.seed).run(&MinMax);
             let death_round: Vec<u32> = d.forest().node_ids().map(|v| c.death_round(v)).collect();
-            assert_eq!(view.up, c.up.as_slice(), "{when}: up");
-            assert_eq!(
-                view.death_round,
-                death_round.as_slice(),
-                "{when}: death rounds"
-            );
-            assert_eq!(view.hop_off, c.hop_off.as_slice(), "{when}: hop offsets");
-            assert_eq!(
-                view.hop_victims,
-                c.hop_victims.as_slice(),
-                "{when}: hop victims"
-            );
+            assert_eq!(t.up, c.trace.up, "{when}: up");
+            assert_eq!(t.death_round, death_round, "{when}: death rounds");
+            assert_eq!(t.hop_off, c.trace.hop_off, "{when}: hop offsets");
+            assert_eq!(t.hop_victims, c.trace.hop_victims, "{when}: hop victims");
         }
 
         let mut d = DynForest::new(gen::random_tree(3_000, 21), MinMax);

@@ -21,12 +21,14 @@
 //!    victim's unary function into the surviving edge and reattaches the
 //!    child to its grandparent.
 //!
-//! Every node death is stamped with its round and recorded in a trace
-//! (`Death`), forming the round-stamped contraction DAG. A reverse replay
-//! of the trace ([`Scratch::backsolve`]) recovers the final subtree value of
-//! *every* node, not just the roots. The same run also extracts the hop
-//! lists of its splice chains ([`Scratch::hop_off`], [`Scratch::hop_victims`]),
-//! which the query engine climbs and change propagation refolds.
+//! A run records two things per node. The [`Trace`] is label-independent:
+//! the round a node died in, its working parent at death, and the hop
+//! lists of the splice chains, which the query engine climbs and change
+//! propagation refolds. It is a function of the forest shape and the coin
+//! seed alone, so a label batch never rewrites it. The death records
+//! (`Death`) carry the label-dependent rest; a reverse replay of them
+//! ([`Scratch::backsolve`]) recovers the final subtree value of *every*
+//! node, not just the roots.
 //!
 //! The run loop reports into a statically-dispatched [`Sink`]: per-round
 //! `plan`/`apply` spans and a [`RoundCounters`] record (frontier size,
@@ -75,13 +77,51 @@ pub(crate) enum Death<A: Algebra> {
 }
 
 /// Outcome of one engine run.
-pub(crate) struct RunOutcome<A: Algebra> {
-    /// `(root, component value)` for every component root.
-    pub components: Vec<(NodeId, A::Val)>,
+pub(crate) struct RunOutcome {
     /// Number of rake/compress rounds executed.
     pub rounds: u32,
     /// Whole-run action totals; all-zero unless the sink was enabled.
     pub counters: EngineCounters,
+}
+
+/// The label-independent record of one contraction: which node died in
+/// which round, under which working parent, and which nodes each survivor
+/// spliced out. Coins hash `(seed, round, node)`, so the trace is a
+/// function of the forest shape and the seed alone.
+#[derive(Clone, Default)]
+pub(crate) struct Trace {
+    /// Working parent pointers. During a run splices rewrite them; a node's
+    /// entry never changes after it dies, so afterwards `up[v]` is `v`'s
+    /// working parent at death (`NONE` for finished roots). A working
+    /// parent strictly outlives its child, so these pointers form a
+    /// shortcut tree of depth ≤ rounds — the spine of the contraction DAG
+    /// that the batch query engine climbs.
+    pub up: Vec<u32>,
+    /// Round stamp per death (1-based; 0 = still alive).
+    pub death_round: Vec<u32>,
+    /// CSR offsets into `hop_victims`, length `n + 1`.
+    pub hop_off: Vec<u32>,
+    /// For every node `x`, the nodes spliced out from directly above it,
+    /// in ascending death round (see [`Scratch::contract`]).
+    pub hop_victims: Vec<u32>,
+}
+
+impl Trace {
+    /// `x`'s victim list as a `lo..hi` range of `hop_victims`.
+    #[inline]
+    pub fn hop(&self, x: u32) -> (usize, usize) {
+        (
+            self.hop_off[x as usize] as usize,
+            self.hop_off[x as usize + 1] as usize,
+        )
+    }
+
+    /// The nodes spliced out from directly above `x`, bottom to top.
+    #[inline]
+    pub fn victims(&self, x: u32) -> &[u32] {
+        let (lo, hi) = self.hop(x);
+        &self.hop_victims[lo..hi]
+    }
 }
 
 /// Reusable per-node working state, indexed by raw node id.
@@ -89,27 +129,19 @@ pub(crate) struct RunOutcome<A: Algebra> {
 /// All vectors are sized to the forest. Each run reseeds them in place, so
 /// one scratch serves any number of runs without reallocating.
 pub(crate) struct Scratch<A: Algebra> {
-    /// Working copy of parent pointers (mutated by splices).
-    pub par: Vec<u32>,
+    /// The run's label-independent record; `trace.up` doubles as the
+    /// working parent pointers while the run is in progress.
+    pub trace: Trace,
     /// Live child count.
     pub count: Vec<u32>,
     /// Partial accumulator.
     pub acc: Vec<A::Acc>,
     /// Edge function towards the current parent.
     pub fun: Vec<A::Fun>,
-    /// Liveness flag.
-    pub alive: Vec<bool>,
     /// Death record per node.
     pub death: Vec<Death<A>>,
-    /// Round stamp per death (1-based; 0 = untouched).
-    pub death_round: Vec<u32>,
     /// Nodes in death order; reversing it yields a valid backsolve order.
     pub death_order: Vec<u32>,
-    /// Working parent at the moment of death (`NONE` for finished roots).
-    /// Because a node's working parent always strictly outlives it, these
-    /// pointers form a shortcut tree of depth ≤ rounds — the spine of the
-    /// contraction DAG that the batch query engine climbs.
-    pub death_parent: Vec<u32>,
     /// Sibling index of each node in its (original) parent's child list.
     /// Passed to [`Algebra::absorb_at`] so ordered (non-commutative)
     /// algebras can reassemble children in child-list order even though
@@ -122,29 +154,19 @@ pub(crate) struct Scratch<A: Algebra> {
     /// bequest). Change propagation uses it to rebuild a compressed
     /// node's accumulator from its original children minus that slot.
     pub gap: Vec<u32>,
-    /// CSR offsets into `hop_victims`, length `n + 1`.
-    pub hop_off: Vec<u32>,
-    /// For every node `x`, the nodes spliced out from directly above it,
-    /// in ascending death round (see [`Scratch::contract`]).
-    pub hop_victims: Vec<u32>,
 }
 
 impl<A: Algebra> Default for Scratch<A> {
     fn default() -> Self {
         Scratch {
-            par: Vec::new(),
+            trace: Trace::default(),
             count: Vec::new(),
             acc: Vec::new(),
             fun: Vec::new(),
-            alive: Vec::new(),
             death: Vec::new(),
-            death_round: Vec::new(),
             death_order: Vec::new(),
-            death_parent: Vec::new(),
             sib: Vec::new(),
             gap: Vec::new(),
-            hop_off: Vec::new(),
-            hop_victims: Vec::new(),
         }
     }
 }
@@ -157,39 +179,34 @@ where
 {
     fn clone(&self) -> Self {
         Scratch {
-            par: self.par.clone(),
+            trace: self.trace.clone(),
             count: self.count.clone(),
             acc: self.acc.clone(),
             fun: self.fun.clone(),
-            alive: self.alive.clone(),
             death: self.death.clone(),
-            death_round: self.death_round.clone(),
             death_order: self.death_order.clone(),
-            death_parent: self.death_parent.clone(),
             sib: self.sib.clone(),
             gap: self.gap.clone(),
-            hop_off: self.hop_off.clone(),
-            hop_victims: self.hop_victims.clone(),
         }
     }
 }
 
 impl<A: Algebra> Scratch<A> {
     /// Seeds every table for a full contraction of `forest`: each node is
-    /// alive with a fresh accumulator of its label, an identity edge
-    /// function, its arena parent and child count, and no death record.
-    /// Sibling slots follow id order, which is the arena's derived child
-    /// order. Reuses the tables' allocations.
+    /// alive (death round 0) with a fresh accumulator of its label, an
+    /// identity edge function, its arena parent and child count, and no
+    /// death record. Sibling slots follow id order, which is the arena's
+    /// derived child order. Reuses the tables' allocations.
     fn seed(&mut self, alg: &A, forest: &Forest<A::Label>) {
         let n = forest.len();
-        self.par.clear();
-        self.par.extend((0..n as u32).map(|v| forest.parent_raw(v)));
+        let par = &mut self.trace.up;
+        par.clear();
+        par.extend((0..n as u32).map(|v| forest.parent_raw(v)));
         self.count.clear();
         self.count.resize(n, 0);
         self.sib.clear();
         self.sib.resize(n, 0);
-        for v in 0..n {
-            let p = self.par[v];
+        for (v, &p) in par.iter().enumerate() {
             if p != NONE {
                 // Children appear in id order, so the running count is
                 // exactly the node's position in the parent's child list.
@@ -202,14 +219,10 @@ impl<A: Algebra> Scratch<A> {
             .extend((0..n as u32).map(|v| alg.init_acc(forest.label(NodeId(v)))));
         self.fun.clear();
         self.fun.resize(n, alg.identity());
-        self.alive.clear();
-        self.alive.resize(n, true);
         self.death.clear();
         self.death.resize_with(n, Death::default);
-        self.death_round.clear();
-        self.death_round.resize(n, 0);
-        self.death_parent.clear();
-        self.death_parent.resize(n, NONE);
+        self.trace.death_round.clear();
+        self.trace.death_round.resize(n, 0);
         self.gap.clear();
         self.gap.resize(n, 0);
     }
@@ -228,11 +241,10 @@ impl<A: Algebra> Scratch<A> {
         forest: &Forest<A::Label>,
         seed: u64,
         sink: &mut S,
-    ) -> RunOutcome<A> {
+    ) -> RunOutcome {
         self.seed(alg, forest);
         let n = forest.len();
         self.death_order.clear();
-        let mut components = Vec::new();
         let mut live: Vec<u32> = (0..n as u32).collect();
         let mut actions: Vec<Action> = Vec::new();
         let mut round = 0;
@@ -259,7 +271,7 @@ impl<A: Algebra> Scratch<A> {
                 None
             };
             let mut coin_rejections = 0u32;
-            let (par, count) = (&self.par, &self.count);
+            let (par, count) = (&self.trace.up, &self.count);
             actions.clear();
             actions.extend(
                 live.iter()
@@ -285,7 +297,6 @@ impl<A: Algebra> Scratch<A> {
                             finishes += 1;
                         }
                         let val = alg.finish(&self.acc[u as usize]);
-                        components.push((NodeId(u), val.clone()));
                         check::must(wlog.record(Cell::Life(u), WriteMode::Exclusive, u as u64));
                         self.kill(u, round, Death::Root(val));
                     }
@@ -293,7 +304,7 @@ impl<A: Algebra> Scratch<A> {
                         if S::ENABLED {
                             rakes += 1;
                         }
-                        let p = self.par[u as usize] as usize;
+                        let p = self.trace.up[u as usize] as usize;
                         let val = alg.finish(&self.acc[u as usize]);
                         let contrib = alg.apply(&self.fun[u as usize], val.clone());
                         let slot = self.sib[u as usize];
@@ -318,8 +329,8 @@ impl<A: Algebra> Scratch<A> {
                         if S::ENABLED {
                             splices += 1;
                         }
-                        let v = self.par[u as usize];
-                        let gp = self.par[v as usize];
+                        let v = self.trace.up[u as usize];
+                        let gp = self.trace.up[v as usize];
                         let tf = alg.to_fun(&self.acc[v as usize]);
                         let g = alg.compose(&tf, &self.fun[u as usize]);
                         let new_fun = alg.compose(&self.fun[v as usize], &g);
@@ -328,7 +339,7 @@ impl<A: Algebra> Scratch<A> {
                         check::must(wlog.record(Cell::Sib(u), WriteMode::Exclusive, u as u64));
                         check::must(wlog.record(Cell::Life(v), WriteMode::Exclusive, u as u64));
                         self.fun[u as usize] = new_fun;
-                        self.par[u as usize] = gp;
+                        self.trace.up[u as usize] = gp;
                         // The victim remembers which of its own child slots
                         // the surviving chain occupies (change propagation
                         // rebuilds its accumulator around that gap), then
@@ -356,8 +367,8 @@ impl<A: Algebra> Scratch<A> {
                 sink.round(&rc);
             }
 
-            let alive = &self.alive;
-            live.retain(|&u| alive[u as usize]);
+            let death_round = &self.trace.death_round;
+            live.retain(|&u| death_round[u as usize] == 0);
             if check::ENABLED {
                 self.check_round(round, &live, deaths_before);
             }
@@ -365,7 +376,6 @@ impl<A: Algebra> Scratch<A> {
 
         self.link_hops(n);
         RunOutcome {
-            components,
             rounds: round,
             counters,
         }
@@ -374,14 +384,12 @@ impl<A: Algebra> Scratch<A> {
     fn kill(&mut self, u: u32, round: u32, death: Death<A>) {
         if check::ENABLED {
             invariant!(
-                self.alive[u as usize],
+                self.trace.death_round[u as usize] == 0,
                 "second death of node n{u} in round {round}"
             );
         }
-        self.alive[u as usize] = false;
         self.death[u as usize] = death;
-        self.death_round[u as usize] = round;
-        self.death_parent[u as usize] = self.par[u as usize];
+        self.trace.death_round[u as usize] = round;
         self.death_order.push(u);
     }
 
@@ -393,35 +401,34 @@ impl<A: Algebra> Scratch<A> {
     #[cfg(feature = "check")]
     fn check_round(&self, round: u32, live: &[u32], deaths_before: usize) {
         use std::collections::HashMap;
+        let Trace {
+            up, death_round, ..
+        } = &self.trace;
         for &u in &self.death_order[deaths_before..] {
             let ui = u as usize;
             invariant!(
-                !self.alive[ui],
-                "node n{u} died in round {round} but is still flagged alive"
-            );
-            invariant!(
-                self.death_round[ui] == round,
+                death_round[ui] == round,
                 "node n{u} killed in round {round} is stamped with round {}",
-                self.death_round[ui]
+                death_round[ui]
             );
             invariant!(
                 !matches!(self.death[ui], Death::None),
                 "node n{u} died in round {round} without a death record"
             );
-            let dp = self.death_parent[ui];
+            let dp = up[ui];
             invariant!(
-                dp == NONE || self.alive[dp as usize],
+                dp == NONE || death_round[dp as usize] == 0,
                 "death parent n{dp} of n{u} did not survive round {round}"
             );
         }
         let mut kids: HashMap<u32, u32> = HashMap::new();
         for &u in live {
             let ui = u as usize;
-            invariant!(self.alive[ui], "retained node n{u} is not alive");
-            let p = self.par[ui];
+            invariant!(death_round[ui] == 0, "retained node n{u} is not alive");
+            let p = up[ui];
             if p != NONE {
                 invariant!(
-                    self.alive[p as usize],
+                    death_round[p as usize] == 0,
                     "live node n{u} points at dead parent n{p} after round {round}"
                 );
                 *kids.entry(p).or_insert(0) += 1;
@@ -441,25 +448,28 @@ impl<A: Algebra> Scratch<A> {
     #[inline(always)]
     fn check_round(&self, _round: u32, _live: &[u32], _deaths_before: usize) {}
 
-    /// Extracts the hop lists of the finished run as a CSR (`hop_off`,
-    /// `hop_victims`): for every node `x`, the nodes that were spliced out
-    /// from directly above it — i.e. the original-tree ancestors lying
-    /// strictly between `x` and its working parent at death
-    /// (`death_parent[x]`), in ascending death round (equivalently,
+    /// Extracts the hop lists of the finished run as a CSR
+    /// ([`Trace::hop_off`], [`Trace::hop_victims`]): for every node `x`, the
+    /// nodes that were spliced out from directly above it — i.e. the
+    /// original-tree ancestors lying strictly between `x` and its working
+    /// parent at death (`up[x]`), in ascending death round (equivalently,
     /// bottom-to-top along the original path).
     ///
-    /// Concatenating `x`, `hop_victims(x)`, `death_parent[x]`,
-    /// `hop_victims(death_parent[x])`, … therefore reconstructs `x`'s
-    /// *entire* original ancestor path while only ever following
-    /// `O(rounds)` shortcut pointers; this is what the batch query engine
-    /// traverses, and the order in which change propagation refolds a
+    /// Concatenating `x`, `victims(x)`, `up[x]`, `victims(up[x])`, …
+    /// therefore reconstructs `x`'s *entire* original ancestor path while
+    /// only ever following `O(rounds)` shortcut pointers; this is what the
+    /// batch query engine traverses, and the order in which change propagation refolds a
     /// splice chain.
     fn link_hops(&mut self, n: usize) {
         let Scratch {
             death,
             death_order,
-            hop_off,
-            hop_victims,
+            trace:
+                Trace {
+                    hop_off,
+                    hop_victims,
+                    ..
+                },
             ..
         } = self;
         hop_off.clear();
@@ -486,29 +496,30 @@ impl<A: Algebra> Scratch<A> {
         }
     }
 
-    /// Replays the death trace in reverse, writing the final subtree value
-    /// of every node into `out`.
+    /// Replays the death records in reverse, returning the final subtree
+    /// value of every node: `(solved, at)`, where `solved` holds the values
+    /// in reverse death order and `solved[at[v]]` is `v`'s.
     ///
     /// Raked nodes and finished roots knew their value at death; a
     /// compressed node's value is its recorded unary function applied to
     /// the value of the child that outlived it — which, processed in
     /// reverse death order, is always already solved.
-    pub fn backsolve(&self, alg: &A, out: &mut [Option<A::Val>]) {
+    pub fn backsolve(&self, alg: &A) -> (Vec<A::Val>, Vec<u32>) {
+        let mut solved: Vec<A::Val> = Vec::with_capacity(self.death_order.len());
+        let mut at = vec![0u32; self.death.len()];
         for &u in self.death_order.iter().rev() {
             let val = match &self.death[u as usize] {
                 // lint:allow(panic): kill() records a death for every retired node
                 Death::None => unreachable!("dead node without death record"),
                 Death::Raked(v) | Death::Root(v) => v.clone(),
                 Death::Compressed { child, fun } => {
-                    let child_val = out[*child as usize]
-                        .clone()
-                        // lint:allow(panic): reverse death order solves children first
-                        .expect("compressed child solved before parent");
-                    alg.apply(fun, child_val)
+                    alg.apply(fun, solved[at[*child as usize] as usize].clone())
                 }
             };
-            out[u as usize] = Some(val);
+            at[u as usize] = solved.len() as u32;
+            solved.push(val);
         }
+        (solved, at)
     }
 }
 

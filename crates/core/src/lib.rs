@@ -100,8 +100,8 @@ pub mod query;
 mod rng;
 
 pub use algebra::{
-    Affine, Algebra, ExprAcc, ExprEval, ExprLabel, ExprOp, Extrema, Invertible, MinMax,
-    PathAlgebra, Propagate, SubtreeSum,
+    Affine, Algebra, ExprAcc, ExprEval, ExprLabel, ExprOp, Extrema, MinMax, PathAlgebra, Propagate,
+    SubtreeSum,
 };
 pub use arena::{Forest, NodeId};
 pub use contract::{ContractOptions, Contraction};

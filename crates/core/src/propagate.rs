@@ -37,7 +37,7 @@
 
 use crate::algebra::{Algebra, Propagate};
 use crate::arena::Forest;
-use crate::engine::{Death, Scratch};
+use crate::engine::{Death, Scratch, Trace};
 use crate::obs::{Phase, Sink};
 use crate::query::Shape;
 use crate::NodeId;
@@ -208,7 +208,7 @@ impl<A: Propagate> Replay<A> {
     /// full contraction of `forest`'s shape, modulo earlier propagation
     /// passes. Child slots follow [`Forest::child_csr`], the id order the
     /// engine seeded. `O(n + trace)` using one backsolve sweep for child
-    /// values.
+    /// values, read where the sweep left them.
     pub fn rebuild(&mut self, alg: &A, forest: &Forest<A::Label>, scratch: &Scratch<A>) {
         let n = forest.len();
         let children = forest.child_csr();
@@ -217,8 +217,7 @@ impl<A: Propagate> Replay<A> {
         self.refold.clear();
         self.refold.resize(n, false);
 
-        let mut vals: Vec<Option<A::Val>> = vec![None; n];
-        scratch.backsolve(alg, &mut vals);
+        let (solved, at) = scratch.backsolve(alg);
 
         // A compressed node's aggregate excludes the slot of the chain
         // that spliced it out — that chain outlives it and contributes at
@@ -227,12 +226,7 @@ impl<A: Propagate> Replay<A> {
             Death::Compressed { .. } => Some(scratch.gap[p]),
             _ => None,
         };
-        let child_val = |vals: &[Option<A::Val>], c: u32| {
-            vals[c as usize]
-                .clone()
-                // lint:allow(panic): a full-trace backsolve resolves every node
-                .expect("backsolve resolved every child")
-        };
+        let child_val = |c: u32| solved[at[c as usize] as usize].clone();
         self.kids = if A::INVERTIBLE {
             let mut parts = Vec::with_capacity(n);
             for p in 0..n {
@@ -242,7 +236,7 @@ impl<A: Propagate> Replay<A> {
                     if gap == Some(i as u32) {
                         continue;
                     }
-                    let add = alg.part_of(i as u32, child_val(&vals, c));
+                    let add = alg.part_of(i as u32, child_val(c));
                     part = alg.part_merge(&part, &add);
                 }
                 parts.push(part);
@@ -251,7 +245,7 @@ impl<A: Propagate> Replay<A> {
         } else {
             let trees = SibTrees::build(alg, n, |p| {
                 let gap = gap_of(p);
-                let vals = &vals;
+                let child_val = &child_val;
                 children
                     .of(p as u32)
                     .iter()
@@ -260,7 +254,7 @@ impl<A: Propagate> Replay<A> {
                         if gap == Some(i as u32) {
                             alg.part_empty()
                         } else {
-                            alg.part_of(i as u32, child_val(vals, c))
+                            alg.part_of(i as u32, child_val(c))
                         }
                     })
             });
@@ -297,13 +291,13 @@ impl<A: Propagate> Replay<A> {
         let Scratch {
             fun,
             death,
-            death_round,
-            death_parent,
             sib,
-            hop_off,
-            hop_victims,
+            trace,
             ..
         } = scratch;
+        let Trace {
+            up, death_round, ..
+        } = &*trace;
 
         // Min-heap on (death round, node): dependencies always point to a
         // strictly later round, so one ascending drain visits each
@@ -339,8 +333,7 @@ impl<A: Propagate> Replay<A> {
                 Death::None => unreachable!("propagation reached a node without a death record"),
             };
             if refold[ui] {
-                let chain = &hop_victims[hop_off[ui] as usize..hop_off[ui + 1] as usize];
-                refold_chain(alg, forest, chain, kids, death, fun, u);
+                refold_chain(alg, forest, trace.victims(u), kids, death, fun, u);
             }
             match slot {
                 Slot::Raked(old) => {
@@ -350,7 +343,7 @@ impl<A: Propagate> Replay<A> {
                     let new = alg.apply(&fun[ui], val.clone());
                     death[ui] = Death::Raked(val);
                     if old != new {
-                        let p = death_parent[ui];
+                        let p = up[ui];
                         kids.update(alg, p as usize, sib[ui], old, new);
                         schedule(affected, &mut heap, death_round[p as usize], p);
                     }

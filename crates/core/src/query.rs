@@ -5,8 +5,8 @@
 //! contraction trace in a **single pass** over the contraction DAG,
 //! instead of walking the tree once per query. The trace is either a
 //! finished [`Contraction`] or the one a [`DynForest`](crate::DynForest)
-//! keeps up to date under edits; both are read through one borrowed view
-//! and answered by one resolver.
+//! keeps up to date under edits; both are read as one label-independent
+//! trace plus a value source and answered by one resolver.
 //!
 //! The enabling observation: the engine records, for every node, its
 //! *working parent at death* ([`Contraction::trace_parent`]). Those
@@ -68,7 +68,7 @@
 use crate::algebra::{Algebra, PathAlgebra};
 use crate::arena::{Euler, Forest, NONE};
 use crate::contract::Contraction;
-use crate::engine::Death;
+use crate::engine::{Death, Trace};
 use crate::propagate::resolve_val;
 use crate::NodeId;
 use std::fmt;
@@ -251,7 +251,10 @@ impl std::error::Error for QueryError {}
 pub type QueryOutcome<A> =
     Result<Answer<<A as Algebra>::Val, <A as PathAlgebra>::PathVal>, QueryError>;
 
-/// Where a [`TraceView`] reads final subtree values from.
+/// Where the resolver reads final subtree values from, next to the
+/// label-independent [`Trace`] of the same run: a finished
+/// [`Contraction`]'s or the one a [`DynForest`](crate::DynForest)
+/// maintains, so both answer queries through the same code.
 pub(crate) enum Vals<'a, A: Algebra> {
     /// Solved per-node values ([`Contraction::values`]).
     Solved(&'a [A::Val]),
@@ -260,37 +263,10 @@ pub(crate) enum Vals<'a, A: Algebra> {
     Deaths(&'a [Death<A>]),
 }
 
-/// A borrowed view of one coherent full-contraction trace: everything the
-/// batch resolver and the trace validator read. Built over a finished
-/// [`Contraction`] or over the trace a [`DynForest`](crate::DynForest)
-/// maintains, so both answer queries through the same code.
-pub(crate) struct TraceView<'a, A: Algebra> {
-    /// Working parent at death; `NONE` for finished roots.
-    pub up: &'a [u32],
-    /// CSR offsets into `hop_victims`, length `n + 1`.
-    pub hop_off: &'a [u32],
-    /// Per node, the nodes spliced out from directly above it, bottom to
-    /// top (see [`Contraction::trace_victims`]).
-    pub hop_victims: &'a [u32],
-    /// Death round (1-based) per node.
-    pub death_round: &'a [u32],
-    /// Final subtree values.
-    pub vals: Vals<'a, A>,
-}
-
-impl<'a, A: Algebra> TraceView<'a, A> {
-    /// `x`'s victim list as a `lo..hi` range of `hop_victims`.
-    #[inline]
-    fn hop(&self, x: u32) -> (usize, usize) {
-        (
-            self.hop_off[x as usize] as usize,
-            self.hop_off[x as usize + 1] as usize,
-        )
-    }
-
+impl<A: Algebra> Vals<'_, A> {
     /// Final subtree value of `v`.
-    fn val(&self, alg: &A, v: u32) -> A::Val {
-        match &self.vals {
+    fn get(&self, alg: &A, v: u32) -> A::Val {
+        match self {
             Vals::Solved(vals) => vals[v as usize].clone(),
             Vals::Deaths(death) => resolve_val(alg, death, v),
         }
@@ -298,8 +274,8 @@ impl<'a, A: Algebra> TraceView<'a, A> {
 
     /// Number of nodes the value source covers.
     #[cfg(feature = "check")]
-    pub(crate) fn vals_len(&self) -> usize {
-        match &self.vals {
+    pub(crate) fn len(&self) -> usize {
+        match self {
             Vals::Solved(vals) => vals.len(),
             Vals::Deaths(death) => death.len(),
         }
@@ -325,12 +301,11 @@ pub(crate) struct Shape {
 impl Shape {
     /// Euler tour of `forest` plus the victims' hosts and death-round
     /// order from `t`.
-    pub(crate) fn build<A: Algebra>(forest: &Forest<A::Label>, t: &TraceView<'_, A>) -> Shape {
+    pub(crate) fn build<L>(forest: &Forest<L>, t: &Trace) -> Shape {
         let n = forest.len();
         let mut host = vec![NONE; n];
         for x in 0..n as u32 {
-            let (lo, hi) = t.hop(x);
-            for &vt in &t.hop_victims[lo..hi] {
+            for &vt in t.victims(x) {
                 host[vt as usize] = x;
             }
         }
@@ -338,7 +313,7 @@ impl Shape {
         let round = |vt: u32| t.death_round[vt as usize] as usize;
         let rounds = t.hop_victims.iter().map(|&vt| round(vt)).max();
         let mut next = vec![0u32; rounds.map_or(1, |r| r + 2)];
-        for &vt in t.hop_victims {
+        for &vt in &t.hop_victims {
             next[round(vt) + 1] += 1;
         }
         for r in 1..next.len() {
@@ -419,7 +394,7 @@ struct Ctx<'s, P> {
 /// already complete.
 fn build_ctx<'s, A: PathAlgebra>(
     forest: &Forest<A::Label>,
-    t: &TraceView<'_, A>,
+    t: &Trace,
     shape: &'s Shape,
     alg: &A,
 ) -> Ctx<'s, A::PathVal> {
@@ -450,7 +425,7 @@ fn build_ctx<'s, A: PathAlgebra>(
 /// descend into the preceding victim's own list and repeat. Each descent
 /// moves to a strictly earlier death round, bounding the depth by the
 /// round count.
-fn lca_raw<A: Algebra>(t: &TraceView<'_, A>, s: &Shape, u: u32, v: u32) -> Option<u32> {
+fn lca_raw(t: &Trace, s: &Shape, u: u32, v: u32) -> Option<u32> {
     if s.euler.root[u as usize] != s.euler.root[v as usize] {
         return None;
     }
@@ -471,8 +446,7 @@ fn lca_raw<A: Algebra>(t: &TraceView<'_, A>, s: &Shape, u: u32, v: u32) -> Optio
     };
     // The LCA is the lowest ancestor of `v` in gap(x) ∪ {fallback}.
     loop {
-        let (lo, hi) = t.hop(x);
-        let seg = &t.hop_victims[lo..hi];
+        let seg = t.victims(x);
         let idx = seg.partition_point(|&vt| !s.euler.is_anc(vt, v));
         if idx == 0 {
             // Nothing lies strictly between a node and its first victim
@@ -495,7 +469,7 @@ fn lca_raw<A: Algebra>(t: &TraceView<'_, A>, s: &Shape, u: u32, v: u32) -> Optio
 /// each victim list (which ascends the tree, i.e. has decreasing `tin`).
 fn seg_to_excl<A: PathAlgebra>(
     forest: &Forest<A::Label>,
-    t: &TraceView<'_, A>,
+    t: &Trace,
     ctx: &Ctx<'_, A::PathVal>,
     alg: &A,
     u: u32,
@@ -557,7 +531,8 @@ fn seg_to_excl<A: PathAlgebra>(
 
 fn resolve_one<A: PathAlgebra>(
     forest: &Forest<A::Label>,
-    t: &TraceView<'_, A>,
+    t: &Trace,
+    vals: &Vals<'_, A>,
     ctx: &Ctx<'_, A::PathVal>,
     alg: &A,
     q: &Query,
@@ -574,7 +549,7 @@ fn resolve_one<A: PathAlgebra>(
     match *q {
         Query::Subtree(v) => {
             let v = check(v)?;
-            Ok(Answer::Value(t.val(alg, v)))
+            Ok(Answer::Value(vals.get(alg, v)))
         }
         Query::ComponentRoot(v) => {
             let v = check(v)?;
@@ -582,7 +557,7 @@ fn resolve_one<A: PathAlgebra>(
         }
         Query::ComponentValue(v) => {
             let v = check(v)?;
-            Ok(Answer::Value(t.val(alg, s.euler.root[v as usize])))
+            Ok(Answer::Value(vals.get(alg, s.euler.root[v as usize])))
         }
         Query::Lca(u, v) => {
             let (u, v) = (check(u)?, check(v)?);
@@ -608,13 +583,15 @@ fn resolve_one<A: PathAlgebra>(
     }
 }
 
-/// Resolves every query of `batch` against the trace `t` of `forest`,
-/// whose shape part `shape` was built from the same two. The one resolver
-/// behind both [`Contraction::query_batch`] and
+/// Resolves every query of `batch` against the trace `t` of `forest` and
+/// its values `vals`; the shape part `shape` was built from the same
+/// forest and trace. The one resolver behind both
+/// [`Contraction::query_batch`] and
 /// [`DynForest::query_batch`](crate::DynForest::query_batch).
 pub(crate) fn resolve_batch<A: PathAlgebra>(
     forest: &Forest<A::Label>,
-    t: &TraceView<'_, A>,
+    t: &Trace,
+    vals: &Vals<'_, A>,
     shape: &Shape,
     alg: &A,
     batch: &QueryBatch,
@@ -623,7 +600,7 @@ pub(crate) fn resolve_batch<A: PathAlgebra>(
     batch
         .queries()
         .iter()
-        .map(|q| resolve_one(forest, t, &ctx, alg, q))
+        .map(|q| resolve_one(forest, t, vals, &ctx, alg, q))
         .collect()
 }
 
@@ -655,8 +632,15 @@ impl<A: Algebra> Contraction<A> {
                 contraction_nodes: n,
             });
         }
-        let view = self.view();
-        let shape = Shape::build(forest, &view);
-        Ok(resolve_batch(forest, &view, &shape, alg, batch))
+        let shape = Shape::build(forest, &self.trace);
+        let vals = Vals::Solved(self.values());
+        Ok(resolve_batch(
+            forest,
+            &self.trace,
+            &vals,
+            &shape,
+            alg,
+            batch,
+        ))
     }
 }

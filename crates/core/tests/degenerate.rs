@@ -72,4 +72,6 @@ fn forest_of_disconnected_components() {
     let oracle = f.sequential_fold(&SubtreeSum);
     assert_eq!(c.components().len(), 37);
     assert_eq!(c.values(), &oracle[..]);
+    let in_root_order: Vec<_> = f.roots().map(|r| (r, oracle[r.index()])).collect();
+    assert_eq!(c.components(), &in_root_order[..]);
 }
