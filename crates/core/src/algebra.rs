@@ -87,6 +87,10 @@ pub trait Algebra: Clone {
 /// cached per-child contributions instead of re-resolving every clean
 /// child.
 ///
+/// A [`PathAlgebra`] supertrait: a [`DynForest`](crate::DynForest)
+/// answers path queries and keeps their hop-prefix folds current under
+/// label edits, so every propagating algebra also folds paths.
+///
 /// Two strategies hide behind one interface, selected by
 /// [`Propagate::INVERTIBLE`]:
 ///
@@ -103,7 +107,7 @@ pub trait Algebra: Clone {
 /// absorbing via [`Propagate::absorb_part`] must equal absorbing each
 /// child with [`Algebra::absorb_at`] directly. (Ascending order is what
 /// lets ordered algebras participate.)
-pub trait Propagate: Algebra {
+pub trait Propagate: PathAlgebra {
     /// Aggregate of the contributions of a contiguous range of child
     /// slots.
     type Part: Clone;
@@ -462,8 +466,9 @@ impl Algebra for ExprEval {
 /// two arbitrary nodes is folded as two root-ward climbs joined at the
 /// LCA, so segment order is not preserved.)
 pub trait PathAlgebra: Algebra {
-    /// Aggregate over a set of labels on a path.
-    type PathVal: Clone;
+    /// Aggregate over a set of labels on a path. `PartialEq` lets the
+    /// `check` validators compare a maintained fold with a fresh one.
+    type PathVal: Clone + PartialEq;
 
     /// The single-node segment for one label.
     fn path_of(&self, label: &Self::Label) -> Self::PathVal;

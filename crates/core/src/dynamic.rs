@@ -35,14 +35,18 @@
 //! per-node value cache to keep coherent), which is why reads return
 //! values rather than references and why *any* pending edit makes every
 //! read stale until [`DynForest::recompute`] runs. Query batches
-//! ([`DynForest::query_batch`]) read the same trace.
+//! ([`DynForest::query_batch`]) read the same trace, and label recomputes
+//! keep the query context cached with it current.
 
-use crate::algebra::{PathAlgebra, Propagate};
+use crate::algebra::Propagate;
 use crate::arena::{Forest, NONE};
 use crate::engine::Scratch;
 use crate::obs::{EngineCounters, NoopSink, Phase, Profile};
 use crate::propagate::{resolve_val, Replay};
-use crate::query::{resolve_batch, QueryBatch, QueryError, QueryOutcome, Shape, Vals};
+use crate::query::{
+    fold_hop_prefixes, patch_hop_prefixes, resolve_batch, QueryBatch, QueryError, QueryOutcome,
+    Shape, Vals,
+};
 use crate::NodeId;
 use std::fmt;
 use std::time::Instant;
@@ -543,7 +547,7 @@ impl<A: Propagate> DynForest<A> {
 
     /// Runs one full contraction of the current forest under the
     /// construction seed, leaving its trace in the scratch, and marks the
-    /// replay tables and the query shape stale. Returns the round count
+    /// replay tables and the query context stale. Returns the round count
     /// and whole-run engine counters.
     fn contract(&mut self) -> (u32, EngineCounters) {
         let DynForest {
@@ -579,7 +583,9 @@ impl<A: Propagate> DynForest<A> {
     /// trace by change propagation (`O(affected × log)`; see the module
     /// docs); if a structural batch left the tables stale, it first
     /// rebuilds them from the stored trace in `O(n)` — the re-anchor —
-    /// and reports every slot replayed.
+    /// and reports every slot replayed. If a query batch has cached the
+    /// trace's hop prefixes, a label-only batch also patches them along
+    /// the hop lists its edits reach (`O(edits × rounds²)` path folds).
     ///
     /// Either way the stored trace afterwards is the one a fresh
     /// contraction of the current forest under the construction seed
@@ -629,6 +635,10 @@ impl<A: Propagate> DynForest<A> {
             Some(p) => replay.propagate(alg, forest, scratch, dirty_list, p.as_mut()),
             None => replay.propagate(alg, forest, scratch, dirty_list, &mut NoopSink),
         };
+        // Only a forest that has queried this trace holds prefixes to patch.
+        if let (Some(shape), Some(pref)) = (replay.shape.get(), replay.hop_pref.get_mut()) {
+            patch_hop_prefixes(forest, &scratch.trace, shape, alg, pref, dirty_list);
+        }
         self.clear_dirty();
         let replayed = if reanchor { n } else { outcome.replayed };
         let counters = self.profile.is_some().then(|| EngineCounters {
@@ -655,15 +665,12 @@ impl<A: Propagate> DynForest<A> {
     /// [`DynForest::recompute`] first.
     ///
     /// The batch is answered straight from the maintained trace: no
-    /// contraction runs. The label-independent part of the batch context
-    /// (Euler intervals, component roots, victim order) is built by the
-    /// first batch after construction or after a cut/link recompute, and
-    /// reused across label batches, so a later batch costs one
-    /// `O(victims)` pass of path folds plus `O(log² n)` per query.
-    pub fn query_batch(&self, batch: &QueryBatch) -> Result<Vec<QueryOutcome<A>>, QueryError>
-    where
-        A: PathAlgebra,
-    {
+    /// contraction runs. The batch context — Euler intervals, component
+    /// roots and victim order, then the hop prefixes' `O(victims)` path
+    /// folds — is built by the first batch after construction or after a
+    /// cut/link recompute. Label-only recomputes keep it and patch the
+    /// prefixes, so every later batch costs only `O(log² n)` per query.
+    pub fn query_batch(&self, batch: &QueryBatch) -> Result<Vec<QueryOutcome<A>>, QueryError> {
         if !self.dirty_list.is_empty() {
             return Err(QueryError::PendingEdits {
                 pending: self.dirty_list.len(),
@@ -676,12 +683,17 @@ impl<A: Propagate> DynForest<A> {
             .replay
             .shape
             .get_or_init(|| Shape::build(&self.forest, &s.trace));
+        let hop_pref = self
+            .replay
+            .hop_pref
+            .get_or_init(|| fold_hop_prefixes(&self.forest, &s.trace, shape, &self.alg));
         let vals = Vals::Deaths(&s.death);
         Ok(resolve_batch(
             &self.forest,
             &s.trace,
             &vals,
             shape,
+            hop_pref,
             &self.alg,
             batch,
         ))
@@ -702,11 +714,14 @@ impl<A: Propagate> DynForest<A> {
     /// * **stored trace** — unless a cut or link is pending, the
     ///   maintained trace satisfies every rule of
     ///   [`Contraction::validate`](crate::Contraction::validate), and the
-    ///   cached query shape, if built, has well-nested Euler intervals.
+    ///   cached query shape, if built, has well-nested Euler intervals;
+    /// * **hop prefixes** — with no edit pending, the cached prefix folds,
+    ///   if built, equal a fresh fold of the current labels over the
+    ///   stored trace, so patching them under label batches lost nothing.
     ///
     /// Returns a descriptive [`InvariantError`](crate::check::InvariantError)
-    /// for the first violation. `O(n)` plus one Euler tour when the stored
-    /// trace is checked.
+    /// for the first violation. `O(n)` plus one Euler tour and one prefix
+    /// fold when the stored trace is checked.
     #[cfg(feature = "check")]
     pub fn validate(&self) -> Result<(), crate::check::InvariantError> {
         use crate::check::ensure;
@@ -750,6 +765,22 @@ impl<A: Propagate> DynForest<A> {
             crate::contract::validate_trace(&self.forest, &s.trace, &Vals::Deaths(&s.death))?;
             if let Some(shape) = self.replay.shape.get() {
                 shape.check_euler(&self.forest)?;
+                let clean = self.dirty_list.is_empty();
+                if let Some(pref) = self.replay.hop_pref.get().filter(|_| clean) {
+                    let fresh = fold_hop_prefixes(&self.forest, &s.trace, shape, &self.alg);
+                    ensure!(
+                        pref.len() == fresh.len(),
+                        "cached hop prefixes cover {} victims, the trace has {}",
+                        pref.len(),
+                        fresh.len()
+                    );
+                    let stale = pref.iter().zip(&fresh).position(|(a, b)| a != b);
+                    ensure!(
+                        stale.is_none(),
+                        "cached hop prefix of victim n{} diverges from a fresh fold",
+                        stale.map_or(0, |i| s.trace.hop_victims[i])
+                    );
+                }
             }
         }
         Ok(())
@@ -784,7 +815,7 @@ impl<A: Propagate> DynForest<A> {
     }
 }
 
-// `DynForest` stays `Send + Sync`: the lazily built query shape lives in
+// `DynForest` stays `Send + Sync`: the lazily built query context lives in
 // a thread-safe cell, and a `Cell`/`RefCell` cache would fail this build.
 const _: () = {
     fn _assert<T: Send + Sync>() {}
@@ -870,6 +901,68 @@ mod tests {
         assert_eq!(d.query_batch(&batch).unwrap(), fresh_answers(&d));
         let e = d.clone();
         assert_eq!(e.query_batch(&batch).unwrap(), fresh_answers(&d));
+    }
+
+    #[test]
+    fn hop_prefix_cache_follows_queries_label_batches_and_cuts() {
+        // The cache equals a fresh fold of the current labels over a
+        // freshly built shape of the stored trace.
+        fn assert_patched(d: &DynForest<MinMax>, when: &str) {
+            let cached = d.replay.hop_pref.get();
+            let cached = cached.unwrap_or_else(|| panic!("{when}: cache is built"));
+            let shape = Shape::build(&d.forest, &d.scratch.trace);
+            let fresh = fold_hop_prefixes(&d.forest, &d.scratch.trace, &shape, &MinMax);
+            assert!(*cached == fresh, "{when}: cache equals a fresh fold");
+        }
+
+        for f in [gen::path(3_000, 8), gen::random_tree(3_000, 9)] {
+            let mut d = DynForest::new(f, MinMax);
+            let mut batch = QueryBatch::new();
+            batch.path(NodeId(5), NodeId(2_900)).subtree(NodeId(7));
+
+            d.batch_update_weights(&[(NodeId(5), 3)]);
+            d.recompute();
+            assert!(
+                d.replay.hop_pref.get().is_none(),
+                "label batches without a query build nothing"
+            );
+            d.query_batch(&batch).unwrap();
+            assert_patched(&d, "first query");
+
+            for k in 0..4u32 {
+                let edits: Vec<(NodeId, i64)> = (0..16)
+                    .map(|i| (NodeId((k * 701 + i * 181) % 3_000), i64::from(k + i)))
+                    .collect();
+                d.batch_update_weights(&edits);
+                d.recompute();
+                assert_patched(&d, "label batch");
+            }
+
+            d.batch_cut(&[NodeId(1_500)]);
+            d.recompute();
+            assert!(
+                d.replay.hop_pref.get().is_none(),
+                "a cut recompute drops the cache"
+            );
+            d.query_batch(&batch).unwrap();
+            d.batch_link(&[(NodeId(1_500), NodeId(0))]);
+            d.recompute();
+            assert!(
+                d.replay.hop_pref.get().is_none(),
+                "a link recompute drops the cache"
+            );
+            d.query_batch(&batch).unwrap();
+            d.batch_update_weights(&[(NodeId(1_499), -7), (NodeId(2_999), 40)]);
+            assert_eq!(d.recompute().replayed_slots, d.len(), "re-anchor");
+            assert_patched(&d, "re-anchoring label batch");
+
+            let mut e = d.clone();
+            assert!(e.replay.hop_pref.get().is_some(), "a clone carries it");
+            e.batch_update_weights(&[(NodeId(2_000), 99)]);
+            e.recompute();
+            assert_patched(&e, "clone's label batch");
+            assert_patched(&d, "original after the clone's batch");
+        }
     }
 
     #[test]

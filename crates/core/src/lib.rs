@@ -31,8 +31,8 @@
 //!   **preorder** (non-commutative) semantics via sibling-indexed rake,
 //!   e.g. [`SeqHash`], a rolling hash of the preorder label sequence.
 //!
-//! [`SubtreeSum`], [`ExprEval`] and [`MinMax`] are also [`PathAlgebra`]s,
-//! so they answer path-aggregate queries.
+//! All four implement [`Propagate`], whose supertrait [`PathAlgebra`]
+//! lets them answer path-aggregate queries.
 //!
 //! The engine is serial: each round's plan and apply phases run on the
 //! calling thread, and the crate spawns no threads of its own.

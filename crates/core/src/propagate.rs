@@ -165,7 +165,7 @@ pub(crate) struct PropagateOutcome {
 }
 
 /// The caches that make replaying a trace slot `O(1)`–`O(log degree)`
-/// instead of `O(degree)`, plus the query shape of the same trace.
+/// instead of `O(degree)`, plus the query context of the same trace.
 ///
 /// Derived from (and only valid against) the full contraction held in a
 /// [`Scratch`]. A structural recompute runs a new contraction and marks
@@ -181,6 +181,11 @@ pub(crate) struct Replay<A: Propagate> {
     /// first query batch that needs it. Label edits leave it valid;
     /// [`Replay::invalidate`] drops it with the trace it describes.
     pub shape: OnceLock<Shape>,
+    /// Label part of the query context, the hop prefixes of this trace
+    /// ([`fold_hop_prefixes`](crate::query::fold_hop_prefixes)), built
+    /// right after `shape`. Label-only recomputes patch it in place;
+    /// [`Replay::invalidate`] drops it.
+    pub hop_pref: OnceLock<Vec<A::PathVal>>,
     /// Scheduling flags for the current pass; always reset before return.
     affected: Vec<bool>,
     refold: Vec<bool>,
@@ -192,16 +197,18 @@ impl<A: Propagate> Replay<A> {
             valid: false,
             kids: Kids::Flat(Vec::new()),
             shape: OnceLock::new(),
+            hop_pref: OnceLock::new(),
             affected: Vec::new(),
             refold: Vec::new(),
         }
     }
 
-    /// Marks the tables stale and drops the query shape: `scratch` now
+    /// Marks the tables stale and drops the query context: `scratch` now
     /// holds a new contraction they do not describe.
     pub fn invalidate(&mut self) {
         self.valid = false;
         self.shape = OnceLock::new();
+        self.hop_pref = OnceLock::new();
     }
 
     /// Rebuilds the child aggregates from `scratch`, which must hold a
@@ -421,6 +428,7 @@ impl<A: Propagate> Clone for Replay<A> {
             valid: self.valid,
             kids: self.kids.clone(),
             shape: self.shape.clone(),
+            hop_pref: self.hop_pref.clone(),
             affected: self.affected.clone(),
             refold: self.refold.clone(),
         }

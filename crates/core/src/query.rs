@@ -41,10 +41,11 @@
 //! *label part* — the closed weights' prefix folds — is `O(victims)` path
 //! folds. [`Contraction::query_batch`] builds both per batch, so a
 //! 1k-query batch on a 100k-node path costs ~`n` work where 1k naive
-//! walks would cost ~`n · k`. A [`DynForest`](crate::DynForest) caches the
-//! shape part with its trace, so a repeated batch pays only the label
-//! part plus `O(log² n)` per query. Queries resolve one after another, in
-//! batch order.
+//! walks would cost ~`n · k`. A [`DynForest`](crate::DynForest) caches
+//! both with its trace and patches the prefix folds when a label batch
+//! lands (refolding only the hop lists the edits reach), so a repeated
+//! batch pays only `O(log² n)` per query. Queries resolve one after
+//! another, in batch order.
 //!
 //! The API is uniformly non-panicking: per-query failures (unknown node
 //! ids) come back as per-query `Err`s, cross-component path/LCA queries
@@ -71,6 +72,8 @@ use crate::contract::Contraction;
 use crate::engine::{Death, Trace};
 use crate::propagate::resolve_val;
 use crate::NodeId;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// One query against a contracted forest.
@@ -284,8 +287,9 @@ impl<A: Algebra> Vals<'_, A> {
 
 /// The label-independent part of a batch context: one `O(n)` pass over
 /// the forest shape and the trace. It stays valid while neither changes,
-/// so [`DynForest`](crate::DynForest) builds it once per trace and every
-/// later batch only pays for [`build_ctx`].
+/// so [`DynForest`](crate::DynForest) builds it once per trace, next to
+/// the hop prefixes ([`fold_hop_prefixes`]) it keeps current under label
+/// edits ([`patch_hop_prefixes`]).
 #[derive(Clone)]
 pub(crate) struct Shape {
     /// Euler intervals and component roots of the forest.
@@ -293,36 +297,40 @@ pub(crate) struct Shape {
     /// For every victim, the node whose hop list holds it (`NONE` for
     /// nodes that were never spliced out).
     host: Vec<u32>,
-    /// Positions in `hop_victims`, in ascending death round of the victim
-    /// they hold.
+    /// The hosts — nodes with a non-empty victim list — in ascending
+    /// death round.
     order: Vec<u32>,
 }
 
 impl Shape {
-    /// Euler tour of `forest` plus the victims' hosts and death-round
-    /// order from `t`.
+    /// Euler tour of `forest` plus the victims' hosts and the hosts'
+    /// death-round order from `t`.
     pub(crate) fn build<L>(forest: &Forest<L>, t: &Trace) -> Shape {
         let n = forest.len();
         let mut host = vec![NONE; n];
+        let mut hosts = Vec::new();
         for x in 0..n as u32 {
             for &vt in t.victims(x) {
                 host[vt as usize] = x;
             }
+            if !t.victims(x).is_empty() {
+                hosts.push(x);
+            }
         }
-        // Counting sort of the victim positions by death round.
-        let round = |vt: u32| t.death_round[vt as usize] as usize;
-        let rounds = t.hop_victims.iter().map(|&vt| round(vt)).max();
+        // Counting sort of the hosts by death round.
+        let round = |x: u32| t.death_round[x as usize] as usize;
+        let rounds = hosts.iter().map(|&x| round(x)).max();
         let mut next = vec![0u32; rounds.map_or(1, |r| r + 2)];
-        for &vt in &t.hop_victims {
-            next[round(vt) + 1] += 1;
+        for &x in &hosts {
+            next[round(x) + 1] += 1;
         }
         for r in 1..next.len() {
             next[r] += next[r - 1];
         }
-        let mut order = vec![0u32; t.hop_victims.len()];
-        for (i, &vt) in t.hop_victims.iter().enumerate() {
-            let slot = &mut next[round(vt)];
-            order[*slot as usize] = i as u32;
+        let mut order = vec![0u32; hosts.len()];
+        for &x in &hosts {
+            let slot = &mut next[round(x)];
+            order[*slot as usize] = x;
             *slot += 1;
         }
 
@@ -380,41 +388,104 @@ struct Ctx<'s, P> {
     shape: &'s Shape,
     /// Prefix folds of victim *closed weights* (label ⊕ entire recursive
     /// gap) within each hop's victim segment, aligned with `hop_victims`.
-    hop_pref: Vec<P>,
+    hop_pref: &'s [P],
 }
 
-/// The label part of a batch context: `O(victims)` path folds.
+/// Refolds host `x`'s hop prefixes from position `from` (an index into
+/// `hop_victims` inside `x`'s segment) to the end of the segment.
 ///
 /// The closed weight of a victim `y` is `C(y) = label(y) ⊕ G(y)`, where
 /// `G(y)` folds the closed weights of y's own victims — everything
 /// strictly between y and its host's shortcut parent, recursively. `G(y)`
-/// is exactly the last prefix of y's own segment. A victim dies strictly
-/// before its host and strictly after its predecessor in the host's list,
-/// so one sweep in ascending death round finds both prefixes it reads
-/// already complete.
-fn build_ctx<'s, A: PathAlgebra>(
+/// is exactly the last prefix of y's own segment, so the refold reads
+/// every victim's own segment and must run after those are final.
+fn refold_segment<A: PathAlgebra>(
     forest: &Forest<A::Label>,
     t: &Trace,
-    shape: &'s Shape,
     alg: &A,
-) -> Ctx<'s, A::PathVal> {
-    let mut hop_pref: Vec<A::PathVal> = vec![alg.path_empty(); t.hop_victims.len()];
-    for &i in &shape.order {
-        let i = i as usize;
+    pref: &mut [A::PathVal],
+    x: u32,
+    from: usize,
+) {
+    let (lo, hi) = t.hop(x);
+    for i in from..hi {
         let y = t.hop_victims[i];
-        let (lo, hi) = t.hop(y);
+        let (ylo, yhi) = t.hop(y);
         let mut closed = alg.path_of(forest.label(NodeId(y)));
-        if hi > lo {
-            closed = alg.path_concat(&closed, &hop_pref[hi - 1]);
+        if yhi > ylo {
+            closed = alg.path_concat(&closed, &pref[yhi - 1]);
         }
-        let first = t.hop_off[shape.host[y as usize] as usize] as usize;
-        hop_pref[i] = if i > first {
-            alg.path_concat(&hop_pref[i - 1], &closed)
+        pref[i] = if i > lo {
+            alg.path_concat(&pref[i - 1], &closed)
         } else {
             closed
         };
     }
-    Ctx { shape, hop_pref }
+}
+
+/// The label part of a batch context: every host's prefix folds,
+/// `O(victims)` path folds, aligned with `hop_victims`. A victim dies
+/// strictly before its host, so refolding whole segments in the hosts'
+/// ascending death round ([`Shape`]'s `order`) finds every segment a
+/// closed weight reads already complete.
+pub(crate) fn fold_hop_prefixes<A: PathAlgebra>(
+    forest: &Forest<A::Label>,
+    t: &Trace,
+    shape: &Shape,
+    alg: &A,
+) -> Vec<A::PathVal> {
+    let mut pref = vec![alg.path_empty(); t.hop_victims.len()];
+    for &x in &shape.order {
+        refold_segment(forest, t, alg, &mut pref, x, t.hop(x).0);
+    }
+    pref
+}
+
+/// Brings `pref`, the [`fold_hop_prefixes`] of `t` under the labels
+/// before an edit batch, up to date with the current labels of `forest`,
+/// where only the nodes in `dirty` changed.
+///
+/// A change-propagation wave over hosts: an edited victim changes its
+/// closed weight, hence its host's prefixes from its position on; the
+/// host's last prefix feeds the host's own closed weight, one level up.
+/// Hosts drain from a min-heap on (death round, host, position), so each
+/// host pops first with the lowest position pushed for it and refolds its
+/// segment from there once; a victim dies before its host, so every
+/// segment the refold reads is already final. `O(edits × rounds)`
+/// segment refolds of length ≤ rounds, independent of the forest size.
+pub(crate) fn patch_hop_prefixes<A: PathAlgebra>(
+    forest: &Forest<A::Label>,
+    t: &Trace,
+    shape: &Shape,
+    alg: &A,
+    pref: &mut [A::PathVal],
+    dirty: &[u32],
+) {
+    let mut heap: BinaryHeap<Reverse<(u32, u32, usize)>> = BinaryHeap::new();
+    // Schedules `y`'s host from `y`'s position; roots and raked nodes
+    // are nobody's victim and feed no prefix.
+    let push = |heap: &mut BinaryHeap<_>, y: u32| {
+        let x = shape.host[y as usize];
+        if x != NONE {
+            let round = |v: u32| t.death_round[v as usize];
+            // A segment lists its victims in strictly ascending death round.
+            let at = t.victims(x).partition_point(|&v| round(v) < round(y));
+            heap.push(Reverse((round(x), x, t.hop(x).0 + at)));
+        }
+    };
+    for &z in dirty {
+        push(&mut heap, z);
+    }
+    let mut last = NONE;
+    while let Some(Reverse((_, x, from))) = heap.pop() {
+        if x == last {
+            // Already refolded from a lower position.
+            continue;
+        }
+        last = x;
+        refold_segment(forest, t, alg, pref, x, from);
+        push(&mut heap, x);
+    }
 }
 
 /// Lowest common ancestor via the shortcut chain: climb from `u` until the
@@ -584,19 +655,21 @@ fn resolve_one<A: PathAlgebra>(
 }
 
 /// Resolves every query of `batch` against the trace `t` of `forest` and
-/// its values `vals`; the shape part `shape` was built from the same
-/// forest and trace. The one resolver behind both
-/// [`Contraction::query_batch`] and
+/// its values `vals`; the shape part `shape` and the hop prefixes
+/// `hop_pref` ([`fold_hop_prefixes`]) describe the same forest, labels
+/// and trace. Folds nothing up front: `O(log² n)` per query. The one
+/// resolver behind both [`Contraction::query_batch`] and
 /// [`DynForest::query_batch`](crate::DynForest::query_batch).
 pub(crate) fn resolve_batch<A: PathAlgebra>(
     forest: &Forest<A::Label>,
     t: &Trace,
     vals: &Vals<'_, A>,
     shape: &Shape,
+    hop_pref: &[A::PathVal],
     alg: &A,
     batch: &QueryBatch,
 ) -> Vec<QueryOutcome<A>> {
-    let ctx = build_ctx(forest, t, shape, alg);
+    let ctx = Ctx { shape, hop_pref };
     batch
         .queries()
         .iter()
@@ -633,12 +706,14 @@ impl<A: Algebra> Contraction<A> {
             });
         }
         let shape = Shape::build(forest, &self.trace);
+        let hop_pref = fold_hop_prefixes(forest, &self.trace, &shape, alg);
         let vals = Vals::Solved(self.values());
         Ok(resolve_batch(
             forest,
             &self.trace,
             &vals,
             &shape,
+            &hop_pref,
             alg,
             batch,
         ))

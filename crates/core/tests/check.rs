@@ -111,9 +111,9 @@ fn dynamic_validates_under_heavy_churn() {
 #[test]
 #[cfg_attr(miri, ignore = "large shapes; the smoke_ tests cover miri")]
 fn query_batch_exercises_euler_nesting_sweep() {
-    // `build_ctx` re-derives Euler intervals per batch and, under `check`,
-    // sweeps their nesting; a mixed batch over a non-trivial forest drives
-    // that path end to end.
+    // `Contraction::query_batch` builds the query shape (Euler intervals)
+    // per batch and, under `check`, sweeps their nesting; a mixed batch
+    // over a non-trivial forest drives that path end to end.
     let f = gen::random_forest(20_000, 16, 99);
     let c = f.contraction().run(&SubtreeSum);
     c.validate(&f).expect("trace validates");

@@ -6,8 +6,7 @@
 
 use dtc_core::gen::{self, ChurnOp, XorShift64};
 use dtc_core::{
-    DynForest, ExprEval, ExprLabel, Forest, MinMax, NodeId, PathAlgebra, Propagate, QueryBatch,
-    SubtreeSum,
+    DynForest, ExprEval, ExprLabel, Forest, MinMax, NodeId, Propagate, QueryBatch, SubtreeSum,
 };
 
 /// Every shape the propagator has to survive, including the adversarial
@@ -173,7 +172,7 @@ fn propagation_survives_structural_churn_and_reanchors() {
 /// now hold after structural recomputes as well.
 fn assert_coherent<A>(when: &str, d: &DynForest<A>, alg: &A, rng: &mut XorShift64)
 where
-    A: Propagate<Label = i64> + PathAlgebra,
+    A: Propagate<Label = i64>,
     A::Val: std::fmt::Debug,
     A::PathVal: PartialEq + std::fmt::Debug,
 {
@@ -214,7 +213,7 @@ where
 /// step and checking [`assert_coherent`] after every recompute.
 fn diff_structural_script<A>(name: &str, forest: Forest<i64>, alg: A, rounds: usize, k: usize)
 where
-    A: Propagate<Label = i64> + PathAlgebra,
+    A: Propagate<Label = i64>,
     A::Val: std::fmt::Debug,
     A::PathVal: PartialEq + std::fmt::Debug,
 {

@@ -549,7 +549,7 @@ fn ordered_rake_survives_dynamic_edits() {
 /// random word, and `leaf` says whether the node has no children (an
 /// expression leaf must stay childless, an operator may have any number
 /// of children).
-trait Lifecycle: PathAlgebra + Propagate
+trait Lifecycle: Propagate
 where
     Self::Val: PartialEq + std::fmt::Debug,
     Self::PathVal: PartialEq + std::fmt::Debug,
@@ -720,6 +720,62 @@ where
     label_batch(&mut e, 16, &mut rng);
     e.recompute();
     check_state(&format!("{name}: clone propagated"), &e, &alg, nq, &mut rng);
+}
+
+/// Queries after each of a run of consecutive label batches: the hop
+/// prefixes a `DynForest` caches at its first query batch are patched by
+/// every label recompute, never refolded, so each state must still answer
+/// exactly like a fresh contraction (and, under `check`, hold prefixes
+/// equal to a fresh fold). The run includes a batch that edits one node
+/// twice and one that edits only roots, which are never splice victims.
+fn label_batches_between_queries<A: Lifecycle>(name: &str, f: &Forest<i64>, alg: A)
+where
+    A::Val: PartialEq + std::fmt::Debug,
+    A::PathVal: PartialEq + std::fmt::Debug,
+{
+    let mut rng = 0x5EED_u64 ^ f.len() as u64;
+    let mut d = DynForest::new(relabel::<A>(f), alg.clone());
+    check_state(&format!("{name}: fresh"), &d, &alg, 60, &mut rng);
+    let kids = child_counts(d.forest());
+    let roots: Vec<NodeId> = d.forest().roots().collect();
+    for step in 0..12 {
+        match step {
+            3 => {
+                let v = NodeId::from_index((xorshift(&mut rng) % d.len() as u64) as usize);
+                let leaf = kids[v.index()] == 0;
+                let first = A::label(xorshift(&mut rng), leaf);
+                let second = A::label(xorshift(&mut rng), leaf);
+                d.batch_update_weights(&[(v, first), (v, second)]);
+            }
+            7 => {
+                let updates: Vec<(NodeId, A::Label)> = roots
+                    .iter()
+                    .map(|&r| (r, A::label(xorshift(&mut rng), kids[r.index()] == 0)))
+                    .collect();
+                d.batch_update_weights(&updates);
+            }
+            _ => label_batch(&mut d, 1 + step * 3, &mut rng),
+        }
+        let stats = d.recompute();
+        assert!(
+            stats.replayed_slots < stats.total,
+            "{name}: label batch {step} propagated"
+        );
+        check_state(&format!("{name}: batch {step}"), &d, &alg, 60, &mut rng);
+    }
+}
+
+#[test]
+fn dyn_forest_query_batch_stays_exact_across_consecutive_label_batches() {
+    for (name, f) in [
+        ("path(5e3)", gen::path(5_000, 71)),
+        ("broom(2500,2500)", gen::broom(2_500, 2_500, 72)),
+        ("caterpillar(1250,3)", gen::caterpillar(1_250, 3, 73)),
+        ("random(5e3)", gen::random_tree(5_000, 74)),
+    ] {
+        label_batches_between_queries(&format!("sum {name}"), &f, SubtreeSum);
+        label_batches_between_queries(&format!("minmax {name}"), &f, MinMax);
+    }
 }
 
 /// The six generator shapes at 10⁴ nodes.
